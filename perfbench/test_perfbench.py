@@ -137,10 +137,10 @@ def test_benchmark_json_names_the_metrics_the_harness_prints():
     import run
 
     assert [(m["name"], m["unit"]) for m in BENCHMARK["end_to_end"]] == run.END_TO_END
-    assert [w["name"] for w in BENCHMARK["workloads"]] == list(workloads.BUILDERS)
+    assert [w["name"] for w in BENCHMARK["workloads"]] == list(workloads.WORKLOADS)
 
 
-@pytest.mark.parametrize("workload", list(workloads.BUILDERS))
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
 @pytest.mark.parametrize("trace", [0, 1])
 def test_a_tiny_run_prints_every_metric(workload, trace):
     proc = subprocess.run(

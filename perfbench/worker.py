@@ -198,7 +198,7 @@ def failure_list(rounds) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workload", choices=sorted(workloads.BUILDERS), required=True)
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     outdir.mkdir()
     rng = random.Random(f"perfbench:{args.workload}:{args.seed}")
     sizes = (workloads.TINY if args.tiny else workloads.FULL)[args.workload]
-    ops = workloads.BUILDERS[args.workload](inputs, rng, package, sizes)
+    ops = workloads.WORKLOADS[args.workload](inputs, rng, package, sizes)
     setup_s = time.monotonic() - args.t0
     result = {"setup_s": setup_s}
     if args.setup_only:

@@ -371,7 +371,7 @@ def build_reach(workdir: Path, rng, topo, sizes) -> list:
     return ops
 
 
-BUILDERS = {
+WORKLOADS = {
     "construct": build_construct,
     "solve": build_solve,
     "profile": build_profile,
