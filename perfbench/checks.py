@@ -50,6 +50,15 @@ def _adjacency(n: int, edges) -> list:
     return adj
 
 
+def max_degree(n: int, edges) -> int:
+    """Largest number of edges at one vertex."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return max(degree, default=0)
+
+
 def _components(vertices, adj) -> list:
     seen, sizes = set(), []
     for s in vertices:
@@ -142,15 +151,11 @@ def cheeger_scan(vertices, edges) -> Fraction | None:
 def stats_checker(cx):
     simplices = [frozenset((v,)) for v in range(cx.n)]
     simplices += [frozenset(e) for e in cx.edges] + [frozenset(t) for t in cx.triangles]
-    degree = [0] * cx.n
-    for u, v in cx.edges:
-        degree[u] += 1
-        degree[v] += 1
     expected = {
         "vertices": cx.n,
         "simplices": len(simplices),
         "dimension": 2 if cx.triangles else (1 if cx.edges else 0),
-        "degree": max(degree, default=0),
+        "degree": max_degree(cx.n, cx.edges),
         "delta": max(sum(1 for t in simplices if s & t) for s in simplices),
     }
 
@@ -166,11 +171,7 @@ def stats_checker(cx):
 def construct_checker(cx, lattice_size: int, manifest_path: str):
     dim = 2 if cx.triangles else (1 if cx.edges else 0)
     ell = max(1, (cx.n - 1).bit_length())
-    degree = [0] * cx.n
-    for u, v in cx.edges:
-        degree[u] += 1
-        degree[v] += 1
-    interference_bound = 2 ** max(degree, default=0)
+    interference_bound = 2 ** max_degree(cx.n, cx.edges)
 
     def check(result):
         _code(result)
@@ -249,16 +250,13 @@ def cut_checker(g):
 
 
 def to1_checker(g):
-    degree = [0] * g.n
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
+    degree = max_degree(g.n, g.edges)
 
     def check(result):
         got = _fields(result.text)
         lower, upper, realized = int(got["lower"]), int(got["upper"]), int(got["realized"])
         _require(lower <= realized <= upper, f"sandwich fails: {lower} <= {realized} <= {upper}")
-        _require(upper == lower + max(degree, default=0) + 1, "upper bound is not cutwidth + degree + 1")
+        _require(upper == lower + degree + 1, "upper bound is not cutwidth + degree + 1")
 
     return check
 

@@ -4,7 +4,13 @@ An op is one CLI command run in-process through ``topoverlap.cli.main`` with
 ``--out``, or one direct library call.  Its status is ``ok``, or one of the
 failure classes: ``refused`` (exit code 2 or ``SizeLimitError``),
 ``timed_out`` (the per-op budget passed), ``raised`` (any other exception)
-and ``wrong`` (the output fails its check, or differs from the first round).
+and ``wrong`` (the output fails its check, or differs between rounds).
+
+Most ops are ``required``: the program solves them today, so a refusal or a
+time-out of one is a regression, counted like a raise or a wrong output.
+Only ops beyond what the program is expected to solve (the images past the
+exact engine's vertex limit on ``reach``) may be refused or time out; they are
+charged the PAR-2 penalty and counted under ``fail_rate`` only.
 """
 
 from __future__ import annotations
@@ -41,10 +47,21 @@ class OpResult:
     extra: dict = field(default_factory=dict)
     message: str = ""
     digest: str = ""
+    required: bool = True
 
     @property
     def failed(self) -> bool:
         return self.status != "ok"
+
+    @property
+    def unexpected(self) -> bool:
+        """A failure that is a regression: a raise, a wrong output, or a
+        refusal or time-out of an op the program must solve."""
+        return self.status in ("raised", "wrong") or (self.failed and self.required)
+
+    def as_record(self) -> dict:
+        return {"op": self.op, "status": self.status, "seconds": self.seconds, "code": self.code,
+                "message": self.message, "digest": self.digest, "required": self.required}
 
 
 def charged(result: OpResult, budget: float) -> float:
@@ -93,7 +110,7 @@ def run_op(op, package, budget: float, out_path: str, tracer=None) -> OpResult:
         signal.signal(signal.SIGALRM, previous)
     if status == "ok" and code == 2:
         status, message = "refused", stderr.getvalue().strip()
-    result = OpResult(op.id, status, seconds, code, message=message)
+    result = OpResult(op.id, status, seconds, code, message=message, required=op.required)
     if status == "ok":
         result.text = text if text is not None else Path(out_path).read_text()
         result.extra = {name: Path(name).read_bytes() for name in op.extra}
@@ -101,9 +118,8 @@ def run_op(op, package, budget: float, out_path: str, tracer=None) -> OpResult:
     return result
 
 
-def run_round(ops, package, budget, outdir: Path, reference=None, tracer=None) -> list:
-    """Run every op once.  Without ``reference`` (the first round) every
-    output is checked; later rounds must reproduce the first round's bytes."""
+def run_round(ops, package, budget, outdir: Path, tracer=None) -> list:
+    """Run every op once and check every output."""
     results = []
     for i, op in enumerate(ops):
         out_path = op.out or str(outdir / f"{i:03d}.out")
@@ -112,19 +128,27 @@ def run_round(ops, package, budget, outdir: Path, reference=None, tracer=None) -
             tracer.reset_stack()
         result = run_op(op, package, budget, out_path, tracer)
         if result.status == "ok":
-            ref = reference[i] if reference is not None else None
-            if ref is not None and ref.status == "ok":
-                if ref.digest != result.digest:
-                    result.status, result.message = "wrong", "output differs from the first round"
-            else:
-                try:
-                    op.check(result)
-                except checks.CheckFailed as exc:
-                    result.status, result.message = "wrong", str(exc)
-                except (ValueError, KeyError, IndexError) as exc:
-                    result.status, result.message = "wrong", f"unparsable output: {exc!r}"
+            try:
+                op.check(result)
+            except checks.CheckFailed as exc:
+                result.status, result.message = "wrong", str(exc)
+            except (ValueError, KeyError, IndexError) as exc:
+                result.status, result.message = "wrong", f"unparsable output: {exc!r}"
         results.append(result)
     return results
+
+
+def mark_unstable(rounds):
+    """An op whose output bytes differ from its first completed run in an
+    earlier round is ``wrong`` in the later round."""
+    first = {}
+    for rnd in rounds:
+        for r in rnd:
+            if r.status != "ok":
+                continue
+            ref = first.setdefault(r.op, r.digest)
+            if ref != r.digest:
+                r.status, r.message = "wrong", "output differs from an earlier round"
 
 
 def failure_counts(results) -> dict:

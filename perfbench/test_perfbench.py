@@ -3,13 +3,15 @@
     python3 -m pytest perfbench
 
 The checkers must reject tampered outputs, failed ops must be charged the
-penalty, self times must add up to the traced wall time, and a tiny run of
-every workload must print every metric that BENCHMARK.json names.
+penalty, self times must add up to the traced wall time, golden digests must
+be checked op by op, and a tiny run of every workload must print every
+metric that BENCHMARK.json names.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -20,8 +22,8 @@ import pytest
 
 import checks
 import harness
+import run
 import tracing
-import worker
 import workloads
 
 HERE = Path(__file__).resolve().parent
@@ -79,6 +81,18 @@ def test_cut_and_extract_checkers_recompute_from_the_output():
     assert rejects(extract, result("success,true\ncheeger,3\nvertices,0 1 2\n"))
 
 
+def test_construct_strata_are_those_of_the_recipe():
+    assert workloads.FULL["construct"]["fvectors"] == workloads.recipe_fvectors(8, 40, 40000)
+
+
+def test_recipe_draws_conditioned_on_an_f_vector_have_it():
+    rng = random.Random(5)
+    for fvector in workloads.FULL["construct"]["fvectors"]:
+        cx = workloads.recipe_with_fvector(rng, fvector)
+        assert (cx.n, len(cx.edges), len(cx.triangles)) == fvector
+        assert checks.max_degree(cx.n, cx.edges) <= 6
+
+
 class _Refusal(ValueError):
     pass
 
@@ -132,14 +146,6 @@ def test_self_times_account_for_the_traced_wall_time():
     assert metrics["leaf.calls"] == 3 and metrics["leaf.self_s"] == pytest.approx(1.0)
 
 
-def test_benchmark_json_names_the_metrics_the_harness_prints():
-    assert [(m["name"], m["unit"]) for m in BENCHMARK["per_layer"]] == worker.PER_LAYER
-    import run
-
-    assert [(m["name"], m["unit"]) for m in BENCHMARK["end_to_end"]] == run.END_TO_END
-    assert [w["name"] for w in BENCHMARK["workloads"]] == list(workloads.WORKLOADS)
-
-
 @pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
 @pytest.mark.parametrize("trace", [0, 1])
 def test_a_tiny_run_prints_every_metric(workload, trace):
@@ -160,12 +166,37 @@ def test_a_tiny_run_prints_every_metric(workload, trace):
         assert name in report
 
 
-def test_a_changed_output_digest_is_not_correct(tmp_path, monkeypatch):
-    import run
+def test_a_refused_required_op_is_a_failure_but_a_refused_optional_op_is_not(tmp_path):
+    refuse = _fake_package(lambda argv: 2)
+    must = harness.run_op(workloads.Op("small", None, argv=[]), refuse, 1.0, str(tmp_path / "o"))
+    may = harness.run_op(workloads.Op("big", None, argv=[], required=False), refuse, 1.0, str(tmp_path / "o"))
+    assert must.status == may.status == "refused"
+    assert must.unexpected and not may.unexpected
 
+
+def test_outputs_that_change_between_rounds_are_wrong():
+    first = [harness.OpResult("a", "ok", 0.1, 0, digest="1"), harness.OpResult("b", "ok", 0.1, 0, digest="2")]
+    second = [harness.OpResult("a", "ok", 0.1, 0, digest="1"), harness.OpResult("b", "ok", 0.1, 0, digest="3")]
+    harness.mark_unstable([first, second])
+    assert [r.status for r in second] == ["ok", "wrong"]
+
+
+def test_golden_digests_are_checked_per_op(tmp_path, monkeypatch):
     golden = tmp_path / "golden.json"
-    golden.write_text(json.dumps({"solve": {"7": {"sha256": "0" * 64, "ops": ["a"]}}}))
+    golden.write_text(json.dumps({"reach": {"7": {"a": "0" * 16, "b": "1" * 16}}}))
     monkeypatch.setattr(run, "GOLDEN", golden)
-    ok, text = run.golden_status("solve", 7, {"digests": {"a": "f" * 64}})
-    assert not ok and "MISMATCH" in text
-    assert run.golden_status("solve", 8, {"digests": {}})[0]
+
+    def rnd(b_status, b_digest="1" * 64):
+        return [
+            harness.OpResult("a", "ok", 0.1, 0, digest="0" * 64),
+            harness.OpResult("b", b_status, 0.1, 0, digest=b_digest, required=False),
+        ]
+
+    assert run.golden_status("reach", 7, [rnd("ok")])[0]
+    assert not run.golden_status("reach", 7, [rnd("ok", "f" * 64)])[0]
+    # an op recorded as completed that now fails to complete fails the
+    # check, even an op whose refusal alone would not count as a failure
+    for status in ("refused", "timed_out", "raised"):
+        ok, text = run.golden_status("reach", 7, [rnd("ok"), rnd(status)])
+        assert not ok and "b did not complete" in text
+    assert run.golden_status("reach", 8, [rnd("refused")])[0]

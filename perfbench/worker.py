@@ -1,15 +1,16 @@
-"""One workload process: set up, run rounds of the op list, write a result.
+"""One round of one workload, in a fresh process.
 
-Started by ``run.py``, once per set-up measurement.  The process imports
-``topoverlap`` from the checkout's ``src``, writes the workload's inputs and
-reports its set-up time against the start time its parent passes in.  The
-last process then runs rounds of the fixed op list for ``--seconds`` (and
-for at least ``MIN_ROUNDS`` rounds), checks every output, and
-writes its metrics as JSON to ``--result``.
+Started by ``run.py`` once per round.  The process imports ``topoverlap``
+from the checkout's ``src``, writes the workload's inputs, reports its set-up
+time against the start time its parent passes in, runs the op list once,
+checks every output and writes the outcome as JSON to ``--result``.  A fresh
+process per round means nothing the program keeps in memory carries over
+from one round to the next: an op costs in every round what it costs a user
+who runs it once.
 
-With ``--trace 1`` untraced and traced rounds alternate.  End-to-end figures
-come from the untraced rounds only; the traced rounds give the per-layer
-metrics, and the difference between the two gives ``trace_overhead``.
+With ``--trace 1`` the round runs with the tracer installed and the result
+also holds the per-layer metrics of the round; ``--spans`` names a file for
+the round's spans.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import os
 import random
 import resource
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -32,72 +32,6 @@ import tracing
 import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# An op's time is its fastest over at least this many rounds.
-MIN_ROUNDS = 3
-# Stop starting rounds after this long, whatever the other limits say.
-HARD_STOP_S = 120.0
-
-# Per-layer metrics: (name, unit).  Every one is printed on every workload,
-# as 0 where the workload does not reach that layer.
-PER_LAYER = [
-    ("horocyclic.build_D_ell.self_s", "s"),
-    ("horocyclic.map_s.calls", "count"),
-    ("horocyclic.map_s.self_s", "s"),
-    ("horocyclic.words_adjacent.calls", "count"),
-    ("horocyclic.words_adjacent.self_s", "s"),
-    ("horocyclic.coarse_construct.self_s", "s"),
-    ("horocyclic.validate_construction.self_s", "s"),
-    ("horocyclic.write_manifest.self_s", "s"),
-    ("horocyclic.write_manifest.bytes", "bytes"),
-    ("horocyclic.revalidate_manifest.self_s", "s"),
-    ("horocyclic.revalidate_manifest.pairs", "count"),
-    ("horocyclic.lattice_functions", "count"),
-    ("horocyclic.refinement_edges", "count"),
-    ("horocyclic.image_vertices", "count"),
-    ("complexes.barycentric_subdivision.self_s", "s"),
-    ("complexes.build_complex.calls", "count"),
-    ("complexes.build_complex.self_s", "s"),
-    ("complexes.stats.self_s", "s"),
-    ("complexes.induced_subcomplex.calls", "count"),
-    ("complexes.induced_subcomplex.self_s", "s"),
-    ("invariants.cutwidth_exact.calls", "count"),
-    ("invariants.cutwidth_exact.self_s", "s"),
-    ("invariants.cutwidth_exact.states", "count"),
-    ("invariants.cutwidth_exact.refused", "count"),
-    ("invariants.cutwidth_exact.timed_out", "count"),
-    ("invariants.cheeger_exact.self_s", "s"),
-    ("invariants.cheeger_exact.subsets", "count"),
-    ("invariants.separation_cut.calls", "count"),
-    ("invariants.separation_cut.self_s", "s"),
-    ("invariants.cutwidth_heuristic.self_s", "s"),
-    ("invariants.to1_bounds.self_s", "s"),
-    ("profiles.profile.self_s", "s"),
-    ("profiles.profile.subsets", "count"),
-    ("profiles.profile.scored", "count"),
-    ("profiles.profile.useful_ratio", "ratio"),
-    ("profiles.verify_cwsep.self_s", "s"),
-    ("profiles.extract_expander.self_s", "s"),
-    ("profiles.extract_expander.steps", "count"),
-    ("util.parallel_map.calls", "count"),
-    ("util.parallel_map.items", "count"),
-    ("util.parallel_map.self_s", "s"),
-    ("cubes.find_translate.self_s", "s"),
-    ("cubes.find_translate.cube_tests", "count"),
-    ("fileio.parse_complex.self_s", "s"),
-    ("fileio.parse_complex.bytes", "bytes"),
-    ("fileio.emit_csv.self_s", "s"),
-    ("fileio.parse_profile_csv.self_s", "s"),
-    ("cli.main.self_s", "s"),
-    ("trace.unattributed_s", "s"),
-    ("trace.self_sum_ratio", "ratio"),
-    ("trace_overhead", "s"),
-    ("ops.fail_rate", "ratio"),
-    ("ops.refused", "count"),
-    ("ops.timed_out", "count"),
-    ("ops.raised", "count"),
-    ("ops.wrong", "count"),
-]
 
 
 def import_package():
@@ -135,77 +69,15 @@ def layer_round(spans, e2e_seconds) -> dict:
     return raw
 
 
-def run_rounds(ops, package, budget, outdir, seconds, trace, min_rounds=MIN_ROUNDS):
-    plain, traced, layers = [], [], []
-    tracer = tracing.Tracer(package) if trace else None
-    spans_out = None
-    start = time.monotonic()
-    reference = None
-    while True:
-        traced_round = trace and len(plain) > len(traced)
-        if traced_round:
-            tracer.install()
-            try:
-                results = harness.run_round(ops, package, budget, outdir, reference, tracer)
-            finally:
-                tracer.uninstall()
-            spans = tracer.take()
-            traced.append(results)
-            wall = sum(r.seconds for r in results)
-            layers.append(layer_round(spans, wall))
-            if spans_out is None:
-                spans_out = spans
-        else:
-            results = harness.run_round(ops, package, budget, outdir, reference)
-            plain.append(results)
-        if reference is None:
-            reference = results
-        elapsed = time.monotonic() - start
-        enough = elapsed >= seconds and len(plain) >= min_rounds and (not trace or len(traced) >= min_rounds)
-        if enough or elapsed >= HARD_STOP_S:
-            return plain, traced, layers, spans_out
-
-
-def per_layer(plain, traced, layers, budget) -> tuple:
-    """Median self times over the traced rounds; counts from the first traced
-    round, with a flag saying whether they repeated in every traced round."""
-    out = {}
-    repeat = True
-    for name, unit in PER_LAYER:
-        values = [layer.get(name, 0) for layer in layers]
-        if unit == "s" or name.startswith("trace."):
-            out[name] = statistics.median(values)
-        else:
-            out[name] = values[0]
-            repeat = repeat and all(v == values[0] for v in values)
-    out["trace_overhead"] = harness.par2(traced, budget) - harness.par2(plain, budget)
-    counts = [harness.failure_counts(rnd) for rnd in plain]
-    for cls in harness.FAILURES:
-        out[f"ops.{cls}"] = statistics.median(c[cls] for c in counts)
-    out["ops.fail_rate"] = statistics.median(sum(c.values()) / len(plain[0]) for c in counts)
-    return out, repeat
-
-
-def failure_list(rounds) -> list:
-    """Each distinct (op, failure class) once, with its first message."""
-    seen = {}
-    for rnd in rounds:
-        for r in rnd:
-            if r.failed and (r.op, r.status) not in seen:
-                seen[(r.op, r.status)] = {"op": r.op, "status": r.status, "message": r.message[:200]}
-    return list(seen.values())
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--t0", type=float, required=True, help="parent's time.monotonic() at spawn")
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--result", required=True)
-    parser.add_argument("--setup-only", action="store_true")
+    parser.add_argument("--spans", help="write the spans of a traced round to this file")
     parser.add_argument("--tiny", action="store_true", help="self-test sizes; figures are not comparable")
     args = parser.parse_args(argv)
 
@@ -218,18 +90,20 @@ def main(argv=None) -> int:
     sizes = (workloads.TINY if args.tiny else workloads.FULL)[args.workload]
     ops = workloads.WORKLOADS[args.workload](inputs, rng, package, sizes)
     setup_s = time.monotonic() - args.t0
-    result = {"setup_s": setup_s}
-    if args.setup_only:
-        Path(args.result).write_text(json.dumps(result))
-        return 0
 
     budget = workloads.BUDGET_S[args.workload]
-    plain, traced, layers, spans = run_rounds(
-        ops, package, budget, outdir, args.seconds, args.trace, 1 if args.tiny else MIN_ROUNDS
-    )
-    reference = plain[0]
-    result.update(
-        record={
+    tracer = tracing.Tracer(package) if args.trace else None
+    if tracer is not None:
+        tracer.install()
+    try:
+        results = harness.run_round(ops, package, budget, outdir, tracer)
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    result = {
+        "setup_s": setup_s,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "record": {
             "workload": args.workload,
             "seed": args.seed,
             "commit": git_commit(),
@@ -240,20 +114,15 @@ def main(argv=None) -> int:
             "revalidate_cap": workloads.REVALIDATE_CAP,
             "ops_per_round": len(ops),
         },
-        e2e=harness.end_to_end(plain, budget),
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        digests={r.op: r.digest for r in reference if r.status == "ok"},
-        op_seconds={r.op: min(rnd[i].seconds for rnd in plain) for i, r in enumerate(reference)},
-        wrong=sum(harness.failure_counts(rnd)["wrong"] for rnd in plain + traced),
-        failures=failure_list(plain + traced),
-    )
-    if args.trace:
-        layer, repeat = per_layer(plain, traced, layers, budget)
-        result.update(layers=layer, counts_repeat=repeat)
-        with open(workdir / "spans.jsonl", "w") as fh:
-            for span in spans:
-                fh.write(json.dumps(span.as_record()) + "\n")
-        result["spans_file"] = str(workdir / "spans.jsonl")
+        "ops": [r.as_record() for r in results],
+    }
+    if tracer is not None:
+        spans = tracer.take()
+        result["layers"] = layer_round(spans, sum(r.seconds for r in results))
+        if args.spans:
+            with open(args.spans, "w") as fh:
+                for span in spans:
+                    fh.write(json.dumps(span.as_record()) + "\n")
     Path(args.result).write_text(json.dumps(result))
     return 0
 

@@ -2,14 +2,16 @@
 
 Every workload is a function ``build_<name>(workdir, rng, topo, sizes)``
 that writes its input files under ``workdir`` and returns the op list of one
-round.  Inputs depend only on the seed.  Sizes are fixed per slot (vertex,
-edge and triangle counts, image-size bands), so that runs on different seeds
-do the same amount of work and only the structure of the inputs varies.
+round.  Inputs depend only on the seed.  Sizes are fixed per slot (vertex
+and edge counts, image-size bands, ranks in a size-sorted pool), so that runs
+on different seeds do nearly the same amount of work and only the structure
+of the inputs varies.
 
-Each op list is made of blocks of ops of one size, placed so that the median
-and the 90th-percentile op fall inside a block rather than between two, which
-keeps both percentiles steady from seed to seed.  ``FULL`` holds the sizes of
-the benchmark; ``TINY`` the sizes of the harness self-test.
+Where sizes are set by hand, the op list is made of blocks of ops of one
+size, placed so that the median and the 90th-percentile op fall inside a
+block rather than between two, which keeps both percentiles steady from seed
+to seed.  ``FULL`` holds the sizes of the benchmark; ``TINY`` the sizes of
+the harness self-test.
 
 The program sees only the generated files: CLI ops get file paths, and the
 two direct library calls read their input file themselves.  Each op's output
@@ -20,6 +22,7 @@ input, never from anything the program computed.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,13 +33,15 @@ import checks
 BUDGET_S = {"construct": 30.0, "solve": 30.0, "profile": 30.0, "reach": 2.0}
 
 # revalidate_manifest tests every pair of refinement vertices, O(N^2): about
-# 0.6 s at 512 functions on a 2-core machine, and minutes for the 11k-function
-# manifests of the criterion-4 corpus.  Manifests up to this many functions
-# get a revalidate op; the larger ones would dominate the round.
+# 0.5 s at 434 functions and 0.8 s at 577 on a 2-core machine, 3 s at 1408,
+# and minutes for the 11k-function manifests of the criterion-4 corpus.
+# Manifests up to this many functions get a revalidate op; the larger ones
+# would dominate the round.
 REVALIDATE_CAP = 512
 
-# The exact cutwidth engine refuses graphs above this many vertices.
-DP_LIMIT = 24
+# reach: images up to this many vertices are solved by the exact engine well
+# within the per-op budget, so a refusal or time-out of one is a regression.
+REACH_REQUIRED_MAX = 20
 
 
 @dataclass
@@ -57,6 +62,7 @@ class Op:
     call: object = None
     extra: list = field(default_factory=list)
     out: str | None = None
+    required: bool = True
 
 
 @dataclass(frozen=True)
@@ -89,45 +95,64 @@ def random_graph(rng, n: int, m: int) -> Graph:
     return Graph(n, tuple(sorted(rng.sample(pairs, m))))
 
 
-def random_complex(rng, n: int, m: int, t: int, deg_max: int = 6) -> Complex:
-    """Random complex with exactly n vertices, m edges and t triangles, every
-    vertex on at most ``deg_max`` edges: the criterion-4 recipe (dimension
-    <= 2, degree <= 6, n <= 32) with its f-vector fixed."""
-    for _ in range(1000):
-        deg = [0] * n
-        eset = set()
-        triangles = []
-        for _ in range(200):
-            if len(triangles) == t:
-                break
-            tri = tuple(sorted(rng.sample(range(n), 3)))
-            new = [e for e in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])) if e not in eset]
-            if tri in triangles or len(eset) + len(new) > m:
-                continue
-            if any(deg[v] + sum(v in e for e in new) > deg_max for v in tri):
-                continue
-            triangles.append(tri)
-            for u, v in new:
-                eset.add((u, v))
-                deg[u] += 1
-                deg[v] += 1
-        if len(triangles) < t:
-            continue
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in eset]
-        rng.shuffle(pairs)
-        for u, v in pairs:
-            if len(eset) == m:
-                break
-            if deg[u] < deg_max and deg[v] < deg_max:
-                eset.add((u, v))
-                deg[u] += 1
-                deg[v] += 1
-        if len(eset) == m:
-            in_tri = {e for tri in triangles for e in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))}
-            edges = tuple(sorted(eset))
-            maximal = tuple(sorted(triangles)) + tuple(e for e in edges if e not in in_tri)
-            return Complex(n, maximal, edges, tuple(sorted(triangles)))
-    raise RuntimeError(f"cannot place {t} triangles and {m} edges on {n} vertices")
+def recipe_complex(rng, n_max: int, deg_max: int = 6) -> Complex:
+    """One draw of the criterion-4 recipe of the test suite (dimension <= 2,
+    degree <= deg_max): n uniform on 1..n_max, an edge target uniform on
+    0..n*deg_max/2, then ``recipe_fill``.  The same rng calls as the suite's
+    ``random_complex``."""
+    n = rng.randint(1, n_max)
+    return recipe_fill(rng, n, None, deg_max)
+
+
+def recipe_fill(rng, n: int, target: int | None, deg_max: int = 6) -> Complex:
+    """The recipe after its choice of n: edges from shuffled vertex pairs
+    under the degree cap up to ``target`` (drawn when None), then each
+    spanned triangle kept with probability 0.7."""
+    deg = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    if target is None:
+        target = rng.randint(0, n * deg_max // 2)
+    edges = []
+    for u, v in pairs:
+        if len(edges) >= target:
+            break
+        if deg[u] < deg_max and deg[v] < deg_max:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    eset = set(edges)
+    triangles = sorted(
+        (u, v, w)
+        for u, v in edges
+        for w in range(v + 1, n)
+        if (u, w) in eset and (v, w) in eset and rng.random() < 0.7
+    )
+    in_tri = {e for u, v, w in triangles for e in ((u, v), (u, w), (v, w))}
+    edges = sorted(edges)
+    maximal = tuple(triangles) + tuple(e for e in edges if e not in in_tri)
+    return Complex(n, maximal, tuple(edges), tuple(triangles))
+
+
+def recipe_fvectors(n_max: int, count: int, draws: int, seed: int = 0) -> tuple:
+    """f-vectors (vertices, edges, triangles) at ``count`` evenly spaced
+    ranks of ``draws`` recipe draws sorted by lattice size: the recipe's size
+    distribution in ``count`` strata."""
+    rng = random.Random(seed)
+    pool = sorted((recipe_complex(rng, n_max) for _ in range(draws)), key=lattice_size)
+    picks = (pool[draws * (2 * i + 1) // (2 * count)] for i in range(count))
+    return tuple((cx.n, len(cx.edges), len(cx.triangles)) for cx in picks)
+
+
+def recipe_with_fvector(rng, fvector) -> Complex:
+    """A recipe draw conditioned on its f-vector: n and the edge target are
+    fixed, and the fill is redrawn until the counts match."""
+    n, m, t = fvector
+    for _ in range(100000):
+        cx = recipe_fill(rng, n, m)
+        if len(cx.edges) == m and len(cx.triangles) == t:
+            return cx
+    raise RuntimeError(f"no recipe draw with f-vector {fvector}")
 
 
 def lattice_size(cx: Complex) -> int:
@@ -151,37 +176,35 @@ def _write(workdir: Path, name: str, text: str) -> str:
 
 
 def build_construct(workdir: Path, rng, topo, sizes) -> list:
-    """Tiers of complexes with one f-vector each: (n, edges, triangles),
-    count.  Every input gets ``stats`` and ``horocyclic construct``;
-    manifests within the cap also get ``revalidate_manifest``."""
+    """One complex of the criterion-4 recipe per f-vector of the size
+    strata in ``sizes["fvectors"]``, so every seed does the same work and only
+    the structure varies.  Every input gets ``stats`` and ``horocyclic
+    construct``; manifests within the cap also get ``revalidate_manifest``."""
     ops = []
-    i = 0
-    for (n, m, t), count in sizes["tiers"]:
-        for _ in range(count):
-            cx = random_complex(rng, n, m, t)
-            path = _write(workdir, f"c{i:02d}.txt", emit_complex(cx))
-            manifest = str(workdir / f"c{i:02d}.manifest")
-            size = lattice_size(cx)
-            ops.append(Op(f"c{i:02d}.stats", checks.stats_checker(cx), argv=["stats", path]))
+    for i, fvector in enumerate(sizes["fvectors"]):
+        cx = recipe_with_fvector(rng, fvector)
+        path = _write(workdir, f"c{i:02d}.txt", emit_complex(cx))
+        manifest = str(workdir / f"c{i:02d}.manifest")
+        size = lattice_size(cx)
+        ops.append(Op(f"c{i:02d}.stats", checks.stats_checker(cx), argv=["stats", path]))
+        ops.append(
+            Op(
+                f"c{i:02d}.construct",
+                checks.construct_checker(cx, size, manifest),
+                argv=["horocyclic", "construct", path, "--manifest", manifest, "--validate"],
+                extra=[manifest],
+            )
+        )
+        if size <= REVALIDATE_CAP:
             ops.append(
                 Op(
-                    f"c{i:02d}.construct",
-                    checks.construct_checker(cx, size, manifest),
-                    argv=["horocyclic", "construct", path, "--manifest", manifest, "--validate"],
-                    extra=[manifest],
+                    f"c{i:02d}.revalidate",
+                    checks.rows_checker(4),
+                    call=lambda topo, m=manifest: checks.render_rows(
+                        topo.horocyclic.revalidate_manifest(Path(m).read_text())
+                    ),
                 )
             )
-            if size <= REVALIDATE_CAP:
-                ops.append(
-                    Op(
-                        f"c{i:02d}.revalidate",
-                        checks.rows_checker(4),
-                        call=lambda topo, m=manifest: checks.render_rows(
-                            topo.horocyclic.revalidate_manifest(Path(m).read_text())
-                        ),
-                    )
-                )
-            i += 1
     return ops
 
 
@@ -269,14 +292,6 @@ def _path(n) -> Graph:
 FIXED_HOSTS = {"grid3x4": _grid(3, 4), "cube3": _hypercube(3), "C12": _cycle(12), "P12": _path(12)}
 
 
-def _degree(g: Graph) -> int:
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return max(deg, default=0)
-
-
 def build_profile(workdir: Path, rng, topo, sizes) -> list:
     """Cutwidth and separation profiles (rmax = host size) of the fixed hosts,
     profiles of seeded hosts, ``verify cwsep`` on every pair of tables, and
@@ -303,7 +318,7 @@ def build_profile(workdir: Path, rng, topo, sizes) -> list:
             Op(
                 f"verify.{name}",
                 checks.verify_checker(),
-                argv=["verify", "cwsep", csv["cutwidth"], csv["separation"], "--delta", str(_degree(g))],
+                argv=["verify", "cwsep", csv["cutwidth"], csv["separation"], "--delta", str(checks.max_degree(g.n, g.edges))],
             )
         )
     i = 0
@@ -337,8 +352,9 @@ def _recipe_graph(rng, topo, n):
 def reach_images(rng, topo, bands, at_limit: int) -> list:
     """Images of criterion-9 recipe graphs (n <= 12, p in {0.15, 0.3, 0.5}),
     drawn until every image-size band (lo, hi, count) is full, plus
-    ``at_limit`` images of exactly ``DP_LIMIT`` vertices drawn from 4-vertex
-    recipe graphs, the smallest sources that reach it."""
+    ``at_limit`` images of exactly the exact engine's vertex limit, drawn
+    from 4-vertex recipe graphs, the smallest sources that reach it."""
+    dp_limit = topo.invariants.DEFAULT_DP_LIMIT
     need = [count for _, _, count in bands]
     found = [[] for _ in bands]
     for _ in range(20000):
@@ -355,7 +371,7 @@ def reach_images(rng, topo, bands, at_limit: int) -> list:
         if len(limit) == at_limit:
             break
         _src, image = _recipe_graph(rng, topo, 4)
-        if image.n_vertices == DP_LIMIT:
+        if image.n_vertices == dp_limit:
             limit.append(image)
     if any(need) or len(limit) < at_limit:
         raise RuntimeError("reach bands not filled after 20000 draws")
@@ -367,7 +383,14 @@ def build_reach(workdir: Path, rng, topo, sizes) -> list:
     for i, image in enumerate(reach_images(rng, topo, sizes["bands"], sizes["at_limit"])):
         g = Graph(image.n_vertices, tuple(image.edges))
         path = _write(workdir, f"image{i:02d}_v{g.n}.txt", emit_graph(g))
-        ops.append(Op(f"image{i:02d}.v{g.n}", checks.cutwidth_checker(g, "exact"), argv=["cutwidth", path]))
+        ops.append(
+            Op(
+                f"image{i:02d}.v{g.n}",
+                checks.cutwidth_checker(g, "exact"),
+                argv=["cutwidth", path],
+                required=g.n <= REACH_REQUIRED_MAX,
+            )
+        )
     return ops
 
 
@@ -379,10 +402,18 @@ WORKLOADS = {
 }
 
 FULL = {
-    # 26 small 1-dimensional inputs (each revalidated; their constructions
-    # are the median block) and 14 2-dimensional ones above the revalidate
-    # cap (the 90th-percentile block)
-    "construct": {"tiers": (((12, 10, 0), 26), ((12, 16, 2), 14))},
+    # recipe_fvectors(8, 40, 40000): the criterion-4 recipe scaled from
+    # n <= 32 to n <= 8, so that a round takes seconds rather than half a
+    # minute, in 40 strata of its lattice-size distribution
+    "construct": {
+        "fvectors": (
+            (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (5, 0, 0),
+            (2, 1, 0), (2, 1, 0), (2, 1, 0), (7, 0, 0), (4, 1, 0), (3, 2, 0), (8, 1, 0), (3, 3, 0),
+            (6, 2, 0), (4, 5, 0), (6, 4, 0), (7, 5, 0), (8, 7, 0), (3, 3, 1), (3, 3, 1), (4, 4, 1),
+            (4, 6, 2), (5, 6, 1), (4, 6, 3), (8, 8, 1), (4, 6, 4), (7, 9, 2), (6, 10, 3), (7, 11, 4),
+            (7, 13, 5), (8, 14, 6), (8, 16, 7), (5, 10, 9), (6, 14, 11), (8, 19, 13), (7, 18, 16), (7, 20, 21),
+        ),
+    },
     # DP solves at fixed n are the median (n = 14, 16) and 90th-percentile
     # (n = 18) blocks
     "solve": {
@@ -418,7 +449,7 @@ FULL = {
 }
 
 TINY = {
-    "construct": {"tiers": (((6, 5, 0), 2), ((5, 6, 1), 1))},
+    "construct": {"fvectors": ((1, 0, 0), (3, 2, 0), (4, 5, 1))},
     "solve": {
         "cutwidth": (8, 16),
         "cheeger": (8,),
