@@ -230,9 +230,12 @@ def main(argv=None) -> int:
     rounds = plain + traced
     all_ops = [rnd["ops"] for rnd in rounds]
     harness.mark_unstable(all_ops)
-    if args.write_golden and not args.tiny:
-        write_golden(args.workload, args.seed, plain[0]["ops"])
-    golden_ok, golden = golden_status(args.workload, args.seed, all_ops)
+    if args.tiny:
+        golden_ok, golden = True, "self-test sizes, not recorded"
+    else:
+        if args.write_golden:
+            write_golden(args.workload, args.seed, plain[0]["ops"])
+        golden_ok, golden = golden_status(args.workload, args.seed, all_ops)
     metrics = report(plain, rounds, golden)
     if args.trace:
         metrics = trace_report(plain, traced)
