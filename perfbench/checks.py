@@ -42,7 +42,7 @@ def _code(result, allowed=(0,)):
     _require(result.code in allowed, f"exit code {result.code}, expected one of {allowed}")
 
 
-def _adjacency(n: int, edges) -> list:
+def adjacency(n: int, edges) -> list:
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
@@ -59,7 +59,7 @@ def max_degree(n: int, edges) -> int:
     return max(degree, default=0)
 
 
-def _components(vertices, adj) -> list:
+def component_sizes(vertices, adj) -> list:
     seen, sizes = set(), []
     for s in vertices:
         if s in seen:
@@ -112,7 +112,7 @@ def cut_profile(n: int, edges, order) -> list:
 
 
 def cheeger_ratio(n: int, edges, subset) -> Fraction:
-    adj = _adjacency(n, edges)
+    adj = adjacency(n, edges)
     a = set(subset)
     boundary = set().union(*(adj[v] for v in a)) - a
     return Fraction(len(boundary), len(a))
@@ -241,7 +241,7 @@ def cut_checker(g):
         sep = set(_ints(got.get("separator", "")))
         _require(int(got["cut"]) == len(sep), "cut size differs from the separator")
         rest = set(range(g.n)) - sep
-        sizes = _components(sorted(rest), _adjacency(g.n, g.edges))
+        sizes = component_sizes(sorted(rest), adjacency(g.n, g.edges))
         largest = max(sizes, default=0)
         _require(2 * largest <= g.n, f"a component of {largest} > n/2 vertices remains")
         _require(int(got["max_component"]) == largest, "max_component differs from a recount")

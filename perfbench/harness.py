@@ -16,17 +16,35 @@ charged the PAR-2 penalty and counted under ``fail_rate`` only.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import signal
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import checks
 
 FAILURES = ("refused", "timed_out", "raised", "wrong")
+
+# The machine is shared: its speed drifts by tens of percent over seconds and
+# minutes, with the load of other tenants on the same cores.  The harness runs
+# a fixed calibration kernel before the first op and after every op, and
+# reports an op's time at the reference speed: its wall time times the op's
+# speed factor, the kernel's reference time over the mean of its times right
+# before and right after the op.  An op that runs a thread pool
+# (``--threads``) is calibrated with the kernel split in many small items
+# over a pool of as many threads, because the pool's hand-offs slow down
+# with the load on the other cores while a single thread does not.  The
+# reference times are about the kernel's times on an unloaded 2-core Xeon
+# with Python 3.11, so reported times stay close to wall seconds there; they
+# are constants, never measured.  Per-op budgets are in the same seconds.
+KERNEL_ITERATIONS = 5000
+POOL_ITEMS = 100
+REFERENCE_KERNEL_S = {1: 0.003, 2: 0.0042}
 
 
 class OpTimeout(Exception):
@@ -48,6 +66,12 @@ class OpResult:
     message: str = ""
     digest: str = ""
     required: bool = True
+    speed: float = 1.0
+
+    @property
+    def scaled(self) -> float:
+        """Wall time at the reference speed."""
+        return self.seconds * self.speed
 
     @property
     def failed(self) -> bool:
@@ -61,13 +85,13 @@ class OpResult:
 
     def as_record(self) -> dict:
         return {"op": self.op, "status": self.status, "seconds": self.seconds, "code": self.code,
-                "message": self.message, "digest": self.digest, "required": self.required}
+                "message": self.message, "digest": self.digest, "required": self.required, "speed": self.speed}
 
 
 def charged(result: OpResult, budget: float) -> float:
-    """Time charged to an op: its wall time, plus twice the budget when it
-    failed, so failing fast never reads as faster (PAR-2)."""
-    return result.seconds + (2 * budget if result.failed else 0.0)
+    """Time charged to an op: its time at the reference speed, plus twice the
+    budget when it failed, so failing fast never reads as faster (PAR-2)."""
+    return result.scaled + (2 * budget if result.failed else 0.0)
 
 
 def _digest(result: OpResult) -> str:
@@ -97,7 +121,7 @@ def run_op(op, package, budget: float, out_path: str, tracer=None) -> OpResult:
             else:
                 text = op.call(package)
     except OpTimeout:
-        status, message = "timed_out", f"passed the {budget} s budget"
+        status, message = "timed_out", f"passed its budget of {budget:.3f} s of wall time"
     except package.SizeLimitError as exc:
         status, message = "refused", str(exc)
     except Exception as exc:  # the op's failure is recorded, the run goes on
@@ -118,15 +142,72 @@ def run_op(op, package, budget: float, out_path: str, tracer=None) -> OpResult:
     return result
 
 
-def run_round(ops, package, budget, outdir: Path, tracer=None) -> list:
-    """Run every op once and check every output."""
-    results = []
+def _kernel(iterations: int) -> int:
+    """A fixed mix of the interpreter work the program does: integer
+    arithmetic, dict and set updates, tuples and a sort."""
+    d, s, acc = {}, set(), 0
+    for i in range(iterations):
+        k = (i * 7919) % 1009
+        d[k] = d.get(k, 0) + i
+        s.add((k, i & 7))
+        acc += len(s) ^ k
+    return acc + len(sorted(d.items()))
+
+
+def calibrate(threads: int = 1) -> float:
+    """Seconds the calibration kernel takes now, on one thread or split in
+    ``POOL_ITEMS`` items over a pool of ``threads``.  The collector is off
+    meanwhile, so the program's heap does not slow the kernel."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        if threads <= 1:
+            _kernel(KERNEL_ITERATIONS)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(_kernel, [KERNEL_ITERATIONS // POOL_ITEMS] * POOL_ITEMS))
+        return time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def speed(kernel_s: float, threads: int = 1) -> float:
+    """The factor that brings wall seconds measured while the kernel took
+    ``kernel_s`` to the reference speed."""
+    return REFERENCE_KERNEL_S[threads] / kernel_s
+
+
+def round_order(ops, rng) -> list:
+    """Indices of ``ops`` in the order one round runs them: the groups in a
+    random order, each group's ops in list order.  A round that runs a block
+    of similar ops back to back would expose the whole block to the same few
+    seconds of load on the machine; shuffled, each op meets its own."""
+    groups = {}
     for i, op in enumerate(ops):
+        groups.setdefault(op.group or op.id, []).append(i)
+    keys = list(groups)
+    rng.shuffle(keys)
+    return [i for key in keys for i in groups[key]]
+
+
+def run_round(ops, package, budget, outdir: Path, tracer=None, order=None) -> list:
+    """Run every op once in ``order`` (list order when None), check every
+    output, and calibrate before the first op and after each.  Results come
+    back in list order."""
+    order = list(range(len(ops))) if order is None else order
+    results = [None] * len(ops)
+    cal = calibrate(ops[order[0]].threads) if ops else 0.0
+    for k, i in enumerate(order):
+        op = ops[i]
         out_path = op.out or str(outdir / f"{i:03d}.out")
         if tracer is not None:
             tracer.op = op.id
             tracer.reset_stack()
-        result = run_op(op, package, budget, out_path, tracer)
+        # the budget is in seconds at the reference speed, like the charged
+        # times, so a loaded machine does not time out ops it solves
+        result = run_op(op, package, budget / speed(cal, op.threads), out_path, tracer)
         if result.status == "ok":
             try:
                 op.check(result)
@@ -134,7 +215,11 @@ def run_round(ops, package, budget, outdir: Path, tracer=None) -> list:
                 result.status, result.message = "wrong", str(exc)
             except (ValueError, KeyError, IndexError) as exc:
                 result.status, result.message = "wrong", f"unparsable output: {exc!r}"
-        results.append(result)
+        after = calibrate(op.threads)
+        result.speed = speed((cal + after) / 2, op.threads)
+        following = ops[order[k + 1]].threads if k + 1 < len(order) else op.threads
+        cal = after if following == op.threads else calibrate(following)
+        results[i] = result
     return results
 
 
@@ -160,10 +245,8 @@ def failure_counts(results) -> dict:
 
 
 def op_times(rounds, budget: float) -> list:
-    """Each op's fastest charged time over the rounds.  The machine is shared
-    and its speed drifts over seconds; the fastest of several runs of an op
-    is the estimate least disturbed by other tenants."""
-    return [min(charged(rnd[i], budget) for rnd in rounds) for i in range(len(rounds[0]))]
+    """Each op's median charged time over the rounds."""
+    return [statistics.median(charged(rnd[i], budget) for rnd in rounds) for i in range(len(rounds[0]))]
 
 
 def par2(rounds, budget: float) -> float:
@@ -173,7 +256,7 @@ def par2(rounds, budget: float) -> float:
 
 def end_to_end(rounds, budget: float) -> dict:
     """End-to-end metrics over the untraced rounds of a run: percentiles are
-    taken over the ops, each at its fastest charged time."""
+    taken over the ops, each at its median charged time."""
     times = op_times(rounds, budget)
     deciles = statistics.quantiles(times, n=10) if len(times) > 1 else times * 9
     pooled = [r for rnd in rounds for r in rnd]

@@ -6,9 +6,12 @@
 Run from the root of a checkout; the program is imported from its ``src``.
 Each round of the op list runs in a fresh process (``worker.py``), which
 first sets up: interpreter start, imports, input generation.  Rounds repeat
-for ``--seconds`` and at least ``MIN_ROUNDS`` times.  ``setup_s`` is the
-median set-up time over the round processes; an op's time is its fastest
-over the rounds.  With ``--trace 1`` untraced and traced rounds alternate:
+for ``--seconds`` and at least ``MIN_ROUNDS`` times, each in its own
+shuffled op order.  Times are seconds at the reference speed of
+``harness.REFERENCE_KERNEL_S``: wall seconds scaled by a calibration kernel
+run next to each op and after each set-up.  ``setup_s`` is the median set-up
+time over the round processes; an op's time is its median over the rounds.
+With ``--trace 1`` untraced and traced rounds alternate:
 end-to-end figures come from the untraced rounds only, per-layer metrics from
 the traced ones, and their difference gives ``trace_overhead``.
 
@@ -42,7 +45,7 @@ import harness
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 GOLDEN = HERE / "golden.json"
-# An op's time is its fastest over at least this many untraced rounds.
+# An op's time is its median over at least this many untraced rounds.
 MIN_ROUNDS = 3
 # Start no round after this long, whatever the other limits say.
 HARD_STOP_S = 120.0
@@ -57,13 +60,13 @@ def metric_specs(kind: str) -> list:
     return [(m["name"], m["unit"]) for m in spec[kind]]
 
 
-def spawn(args, workdir: Path, traced: bool, spans: bool, deadline: float) -> dict:
+def spawn(args, workdir: Path, number: int, traced: bool, spans: bool, deadline: float) -> dict:
     """Run one round in a fresh workload process and return its result."""
     result_path = workdir.with_suffix(".json")
     env = dict(os.environ, PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     cmd = [
         sys.executable, str(HERE / "worker.py"),
-        "--workload", args.workload, "--seed", str(args.seed), "--trace", str(int(traced)),
+        "--workload", args.workload, "--seed", str(args.seed), "--trace", str(int(traced)), "--round", str(number),
         "--workdir", str(workdir), "--result", str(result_path),
     ]
     if spans:
@@ -87,8 +90,9 @@ def run_rounds(args, base: Path) -> tuple:
     deadline = start + CHILD_TIMEOUT_S
     while True:
         is_traced = bool(args.trace) and len(plain) > len(traced)
-        workdir = base / f"round{len(plain) + len(traced)}"
-        result = spawn(args, workdir, is_traced, is_traced and not traced, deadline)
+        number = len(plain) + len(traced)
+        workdir = base / f"round{number}"
+        result = spawn(args, workdir, number, is_traced, is_traced and not traced, deadline)
         if is_traced:
             result["spans_file"] = str(workdir / "spans.jsonl")
         (traced if is_traced else plain).append(result)
@@ -146,10 +150,15 @@ def report(plain, rounds, golden) -> dict:
         f"perfbench {rec['workload']} seed={rec['seed']} commit={rec['commit'][:12]} "
         f"python={rec['python']} numpy={rec['numpy']} nproc={rec['nproc']}"
     )
+    speeds = [r.speed for p in plain for r in p["ops"]]
     print(
-        f"  budget {budget} s per op (a failed op is charged its wall time + {2 * budget} s), "
+        f"  budget {budget} s per op (a failed op is charged its time + {2 * budget} s), "
         f"revalidate cap {rec['revalidate_cap']} functions, {rec['ops_per_round']} ops per round, "
-        f"each op timed as its fastest of {e2e['rounds']} rounds, one fresh process per round"
+        f"each op timed as its median of {e2e['rounds']} rounds, one fresh process and op order per round"
+    )
+    print(
+        f"  times in seconds at the reference speed: wall seconds times the speed factor, "
+        f"here median {statistics.median(speeds):.3f} (from {min(speeds):.3f} to {max(speeds):.3f}) over {len(speeds)} op runs"
     )
     metrics = {
         "setup_s": (statistics.median(setups), f"median of {len(setups)} set-ups"),

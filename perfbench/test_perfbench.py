@@ -10,6 +10,7 @@ metric that BENCHMARK.json names.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import subprocess
@@ -81,8 +82,11 @@ def test_cut_and_extract_checkers_recompute_from_the_output():
     assert rejects(extract, result("success,true\ncheeger,3\nvertices,0 1 2\n"))
 
 
-def test_construct_strata_are_those_of_the_recipe():
+def test_pinned_strata_are_those_of_their_distributions():
     assert workloads.FULL["construct"]["fvectors"] == workloads.recipe_fvectors(8, 40, 40000)
+    (big, big_targets), (small, small_targets) = workloads.FULL["profile"]["random"]
+    assert big_targets == workloads.host_strata(*big, len(big_targets), 1000)
+    assert small_targets == workloads.host_strata(*small, len(small_targets), 2000)
 
 
 def test_recipe_draws_conditioned_on_an_f_vector_have_it():
@@ -91,6 +95,15 @@ def test_recipe_draws_conditioned_on_an_f_vector_have_it():
         cx = workloads.recipe_with_fvector(rng, fvector)
         assert (cx.n, len(cx.edges), len(cx.triangles)) == fvector
         assert checks.max_degree(cx.n, cx.edges) <= 6
+
+
+def test_hosts_drawn_in_a_stratum_are_in_it():
+    rng = random.Random(5)
+    for (n, m, rmax), targets in workloads.FULL["profile"]["random"]:
+        for target in targets[:: len(targets) - 1]:
+            g = workloads.host_in_stratum(rng, n, m, rmax, target)
+            assert len(g.edges) == m
+            assert abs(workloads.connected_sets(g, rmax) - target) <= target // 50
 
 
 class _Refusal(ValueError):
@@ -174,6 +187,20 @@ def test_a_refused_required_op_is_a_failure_but_a_refused_optional_op_is_not(tmp
     assert must.unexpected and not may.unexpected
 
 
+def test_a_round_runs_groups_together_and_reports_in_list_order(tmp_path):
+    ops = [workloads.Op(f"{g}.{k}", lambda r: None, call=lambda topo: "x", group=g) for g in "abcdef" for k in range(3)]
+    ops.append(workloads.Op("alone", lambda r: None, call=lambda topo: "y"))
+    order = harness.round_order(ops, random.Random(1))
+    assert sorted(order) == list(range(len(ops))) and order != sorted(order)
+    for g in "abcdef":
+        at = [order.index(i) for i, op in enumerate(ops) if op.group == g]
+        assert at == list(range(at[0], at[0] + 3))
+    results = harness.run_round(ops, _fake_package(None), 5.0, tmp_path, order=order)
+    assert [r.op for r in results] == [op.id for op in ops]
+    for r in results:
+        assert r.speed > 0 and r.scaled == pytest.approx(r.seconds * r.speed)
+
+
 def test_outputs_that_change_between_rounds_are_wrong():
     first = [harness.OpResult("a", "ok", 0.1, 0, digest="1"), harness.OpResult("b", "ok", 0.1, 0, digest="2")]
     second = [harness.OpResult("a", "ok", 0.1, 0, digest="1"), harness.OpResult("b", "ok", 0.1, 0, digest="3")]
@@ -200,3 +227,17 @@ def test_golden_digests_are_checked_per_op(tmp_path, monkeypatch):
         ok, text = run.golden_status("reach", 7, [rnd("ok"), rnd(status)])
         assert not ok and "b did not complete" in text
     assert run.golden_status("reach", 8, [rnd("refused")])[0]
+
+
+def test_connected_sets_counts_every_connected_vertex_set_once():
+    rng = random.Random(2)
+    for n, m, rmax in ((8, 10, 4), (9, 12, 9), (12, 18, 5)):
+        g = workloads.random_graph(rng, n, m)
+        adj = checks.adjacency(g.n, g.edges)
+        brute = sum(
+            1
+            for r in range(1, rmax + 1)
+            for subset in itertools.combinations(range(n), r)
+            if len(checks.component_sizes(subset, adj)) == 1
+        )
+        assert workloads.connected_sets(g, rmax) == brute

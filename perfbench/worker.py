@@ -21,6 +21,7 @@ import json
 import os
 import random
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -32,6 +33,9 @@ import tracing
 import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
+# set-up time is brought to the reference speed with the median of this many
+# calibrations right after it
+SETUP_CALIBRATIONS = 5
 
 
 def import_package():
@@ -74,6 +78,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--round", type=int, default=0, help="number of the round; sets the op order")
     parser.add_argument("--t0", type=float, required=True, help="parent's time.monotonic() at spawn")
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--result", required=True)
@@ -90,18 +95,20 @@ def main(argv=None) -> int:
     sizes = (workloads.TINY if args.tiny else workloads.FULL)[args.workload]
     ops = workloads.WORKLOADS[args.workload](inputs, rng, package, sizes)
     setup_s = time.monotonic() - args.t0
+    setup_speed = harness.speed(statistics.median(harness.calibrate() for _ in range(SETUP_CALIBRATIONS)))
 
     budget = workloads.BUDGET_S[args.workload]
     tracer = tracing.Tracer(package) if args.trace else None
     if tracer is not None:
         tracer.install()
     try:
-        results = harness.run_round(ops, package, budget, outdir, tracer)
+        order = harness.round_order(ops, random.Random(f"perfbench-order:{args.workload}:{args.seed}:{args.round}"))
+        results = harness.run_round(ops, package, budget, outdir, tracer, order)
     finally:
         if tracer is not None:
             tracer.uninstall()
     result = {
-        "setup_s": setup_s,
+        "setup_s": setup_s * setup_speed,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "record": {
             "workload": args.workload,

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import checks
 
-# Per-op budgets in seconds.  A failed op is charged its wall time plus twice
-# the budget of its workload.
+# Per-op budgets in seconds at the reference speed (see harness).  A failed op
+# is charged its time plus twice the budget of its workload.
 BUDGET_S = {"construct": 30.0, "solve": 30.0, "profile": 30.0, "reach": 2.0}
 
 # revalidate_manifest tests every pair of refinement vertices, O(N^2): about
@@ -53,7 +53,9 @@ class Op:
     is a direct library call taking the imported package and returning the
     op's text output.  ``check(result)`` raises ``checks.CheckFailed`` when
     the output is wrong.  ``extra`` names further files the op writes, which
-    are part of its output.
+    are part of its output.  Ops of one ``group`` run together and in list
+    order, because later ones read what earlier ones wrote; each op without
+    a group is a group of its own.
     """
 
     id: str
@@ -63,6 +65,14 @@ class Op:
     extra: list = field(default_factory=list)
     out: str | None = None
     required: bool = True
+    group: str | None = None
+
+    @property
+    def threads(self) -> int:
+        """Size of the thread pool the op asks the program for."""
+        if self.argv is None or "--threads" not in self.argv:
+            return 1
+        return int(self.argv[self.argv.index("--threads") + 1])
 
 
 @dataclass(frozen=True)
@@ -186,23 +196,26 @@ def build_construct(workdir: Path, rng, topo, sizes) -> list:
         path = _write(workdir, f"c{i:02d}.txt", emit_complex(cx))
         manifest = str(workdir / f"c{i:02d}.manifest")
         size = lattice_size(cx)
-        ops.append(Op(f"c{i:02d}.stats", checks.stats_checker(cx), argv=["stats", path]))
+        group = f"c{i:02d}"
+        ops.append(Op(f"{group}.stats", checks.stats_checker(cx), argv=["stats", path], group=group))
         ops.append(
             Op(
-                f"c{i:02d}.construct",
+                f"{group}.construct",
                 checks.construct_checker(cx, size, manifest),
                 argv=["horocyclic", "construct", path, "--manifest", manifest, "--validate"],
                 extra=[manifest],
+                group=group,
             )
         )
         if size <= REVALIDATE_CAP:
             ops.append(
                 Op(
-                    f"c{i:02d}.revalidate",
+                    f"{group}.revalidate",
                     checks.rows_checker(4),
                     call=lambda topo, m=manifest: checks.render_rows(
                         topo.horocyclic.revalidate_manifest(Path(m).read_text())
                     ),
+                    group=group,
                 )
             )
     return ops
@@ -289,6 +302,47 @@ def _path(n) -> Graph:
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
+def connected_sets(g: Graph, rmax: int) -> int:
+    """Vertex sets of 1 to ``rmax`` vertices that induce a connected
+    subgraph.  ``profile`` scores these with a solver and drops the others
+    after a connectivity test, so the count sets most of a table's cost.
+    Each set is grown once from its least vertex by adding, one at a time,
+    larger vertices adjacent to the set but not to its earlier members (the
+    ESU enumeration of Wernicke, 2006)."""
+    adj = checks.adjacency(g.n, g.edges)
+
+    def grow(size, near, extension, least):
+        count = 1
+        if size < rmax:
+            extension = set(extension)
+            while extension:
+                w = extension.pop()
+                new = {u for u in adj[w] if u > least and u not in near}
+                count += grow(size + 1, near | adj[w], extension | new, least)
+        return count
+
+    return sum(grow(1, adj[v] | {v}, {u for u in adj[v] if u > v}, v) for v in range(g.n))
+
+
+def host_strata(n: int, m: int, rmax: int, count: int, draws: int, seed: int = 0) -> tuple:
+    """``connected_sets`` counts at ``count`` evenly spaced ranks of
+    ``draws`` random graphs with n vertices and m edges: the size
+    distribution of their profile tables in ``count`` strata."""
+    rng = random.Random(seed)
+    pool = sorted(connected_sets(random_graph(rng, n, m), rmax) for _ in range(draws))
+    return tuple(pool[draws * (2 * i + 1) // (2 * count)] for i in range(count))
+
+
+def host_in_stratum(rng, n: int, m: int, rmax: int, target: int) -> Graph:
+    """A random graph with n vertices and m edges, redrawn until its
+    ``connected_sets`` count is within 2 % of ``target``."""
+    for _ in range(100000):
+        g = random_graph(rng, n, m)
+        if abs(connected_sets(g, rmax) - target) <= target // 50:
+            return g
+    raise RuntimeError(f"no {n}-vertex host with about {target} connected sets")
+
+
 FIXED_HOSTS = {"grid3x4": _grid(3, 4), "cube3": _hypercube(3), "C12": _cycle(12), "P12": _path(12)}
 
 
@@ -298,9 +352,9 @@ def build_profile(workdir: Path, rng, topo, sizes) -> list:
     greedy expander extraction at three targets."""
     ops = []
     hosts = [(name, FIXED_HOSTS[name], FIXED_HOSTS[name].n) for name in sizes["fixed"]]
-    for (n, m, rmax), count in sizes["random"]:
-        for _ in range(count):
-            hosts.append((f"rand{len(hosts):02d}_n{n}", random_graph(rng, n, m), rmax))
+    for (n, m, rmax), targets in sizes["random"]:
+        for target in targets:
+            hosts.append((f"rand{len(hosts):02d}_n{n}", host_in_stratum(rng, n, m, rmax, target), rmax))
     for name, g, rmax in hosts:
         path = _write(workdir, f"{name}.txt", emit_graph(g))
         csv = {}
@@ -312,6 +366,7 @@ def build_profile(workdir: Path, rng, topo, sizes) -> list:
                     checks.profile_checker(g, rmax),
                     argv=["profile", path, "--invariant", inv, "--rmax", str(rmax), "--threads", "2"],
                     out=csv[inv],
+                    group=name,
                 )
             )
         ops.append(
@@ -319,6 +374,7 @@ def build_profile(workdir: Path, rng, topo, sizes) -> list:
                 f"verify.{name}",
                 checks.verify_checker(),
                 argv=["verify", "cwsep", csv["cutwidth"], csv["separation"], "--delta", str(checks.max_degree(g.n, g.edges))],
+                group=name,
             )
         )
     i = 0
@@ -434,7 +490,15 @@ FULL = {
     # greedy steps, which varies with the seed.
     "profile": {
         "fixed": ("grid3x4", "cube3", "C12", "P12"),
-        "random": (((12, 18, 5), 10), ((8, 10, 4), 29)),
+        # host_strata(12, 18, 5, 10, 1000) and host_strata(8, 10, 4, 29, 2000)
+        "random": (
+            ((12, 18, 5), (235, 259, 274, 286, 297, 306, 315, 326, 340, 362)),
+            (
+                (8, 10, 4),
+                (43, 46, 48, 49, 50, 50, 51, 52, 52, 53, 53, 54, 54, 55, 55,
+                 56, 57, 57, 57, 58, 58, 59, 59, 60, 61, 62, 63, 65, 67),
+            ),
+        ),
         "extract": ((14, 5),),
     },
     # image-size bands after the size mix of the criterion-9 recipe, plus one
@@ -458,6 +522,6 @@ TINY = {
         "to1": (8,),
         "translate": ((2, 2, 1),),
     },
-    "profile": {"fixed": ("cube3",), "random": (((7, 8, 4), 1),), "extract": ((8, 1),)},
+    "profile": {"fixed": ("cube3",), "random": (((7, 8, 4), (38,)),), "extract": ((8, 1),)},
     "reach": {"bands": ((2, 12, 2), (25, 48, 1)), "at_limit": 0},
 }
