@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+# `c <n>` creates n vertices before any simplex is read: 10^6 took about 3 s
+# and 435 MB on a 2-core machine, so a larger header is refused before
+# anything is built.
+HEADER_VERTEX_LIMIT = 10**5
+
+
 class ParseError(MalformedComplexError):
     """Malformed input file; carries a 1-based line number."""
 
@@ -53,6 +59,10 @@ def parse_complex(text: str) -> SimplicialComplex:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(no, "header must be `c <n_vertices>`")
             n_vertices = int(parts[1])
+            if n_vertices > HEADER_VERTEX_LIMIT:
+                raise ParseError(
+                    no, f"{n_vertices} vertices exceed HEADER_VERTEX_LIMIT ({HEADER_VERTEX_LIMIT})"
+                )
         elif parts[0] == "s":
             if n_vertices is None:
                 raise ParseError(no, "simplex listed before header")

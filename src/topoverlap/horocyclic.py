@@ -127,6 +127,23 @@ def _maximal_cliques(ids, nbrs):
     return sorted(cliques)
 
 
+def _flag_complex(words, index, d: int, message: str) -> SimplicialComplex:
+    """Flag completion of the rule edges among ``words`` (``index`` maps each
+    word tuple to its id): the maximal cliques become the simplices.  A
+    clique of more than d+1 vertices raises ``ConstructionError(message)``."""
+    nbrs = {i: set() for i in range(len(words))}
+    for i, w in enumerate(words):
+        for nb in _word_neighbors(w):
+            j = index.get(nb)
+            if j is not None:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    cliques = _maximal_cliques(range(len(words)), nbrs)
+    if any(len(c) > d + 1 for c in cliques):
+        raise ConstructionError(message)
+    return build_complex(cliques, extra_vertices=range(len(words)))
+
+
 @dataclass(frozen=True)
 class HorocyclicComplex:
     """Finite piece of the horocyclic product in the word model."""
@@ -159,19 +176,9 @@ def build_H_ell(d: int, ell: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> H
         words.extend(itertools.product(*pools))
     words.sort(key=lambda w: (tuple(len(x) for x in w), w))
     index = {w: i for i, w in enumerate(words)}
-
-    nbrs = {i: set() for i in range(len(words))}
-    for i, w in enumerate(words):
-        for nb in _word_neighbors(w):
-            j = index.get(nb)
-            if j is not None:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    cliques = _maximal_cliques(range(len(words)), nbrs)
-    if any(len(c) > d + 1 for c in cliques):
-        raise ConstructionError("flag completion exceeded the product dimension")
-    cx = build_complex(cliques, extra_vertices=range(len(words)))
-    assert cx.degree <= 2 * d * (d + 1)
+    cx = _flag_complex(words, index, d, "flag completion exceeded the product dimension")
+    if cx.degree > 2 * d * (d + 1):
+        raise ConstructionError(f"product degree {cx.degree} exceeds 2d(d+1) = {2 * d * (d + 1)}")
     return HorocyclicComplex(d, ell, cx, tuple(words))
 
 
@@ -235,59 +242,31 @@ def build_D_ell(
         raise ConstructionError(f"would create {expected} > {max_vertices} vertices")
 
     functions = []
-    chain_of = {}
     for chain in chains:
-        members = sorted(chain)
-        sets = sorted((labels[m] for m in members), key=len)
-        assert _support_is_chain(sets), "barycentric simplex is not a chain"
-        assert len({len(s) for s in sets}) == len(sets)
-        for cut in itertools.combinations(range(1, total), len(members) - 1):
+        sets = sorted((labels[m] for m in chain), key=len)
+        if not _support_is_chain(sets):
+            raise ConstructionError(f"barycentric simplex {sorted(chain)} is not a chain")
+        for cut in itertools.combinations(range(1, total), len(sets) - 1):
             bounds = (0, *cut, total)
-            weights = [bounds[t + 1] - bounds[t] for t in range(len(members))]
-            fn = _canonical_function(zip(sets, weights))
-            functions.append(fn)
-            chain_of[fn] = chain
+            weights = [bounds[t + 1] - bounds[t] for t in range(len(sets))]
+            functions.append(_canonical_function(zip(sets, weights)))
     functions.sort()
     index = {f: i for i, f in enumerate(functions)}
-    assert len(index) == len(functions) == expected
+    if not len(index) == len(functions) == expected:
+        raise ConstructionError(
+            f"{len(index)} distinct of {len(functions)} weight functions, expected {expected}"
+        )
 
-    ext_cache: dict = {}
-
-    def extensions(chain):
-        """Original simplices whose join with the chain is again a chain."""
-        hit = ext_cache.get(chain)
-        if hit is None:
-            hit = tuple(
-                label
-                for other, label in labels.items()
-                if other not in chain and frozenset((*chain, other)) in bary.simplices
-            )
-            ext_cache[chain] = hit
-        return hit
-
+    # on a barycentric subdivision, a set comparable with every support set
+    # is exactly a label whose join with the support chain is a simplex
+    sets = tuple(labels.values())
+    cache: dict = {}
+    top_of = [frozenset(fn[-1][0]) for fn in functions]  # canonical order puts the largest set last
+    provenance = {frozenset((i,)): top_of[i] for i in range(len(functions))}
     edges = set()
-    provenance = {}
-    top_of = []
-    for fn in functions:
-        top_of.append(frozenset(fn[-1][0]))  # canonical order puts the largest set last
-    for fn in functions:
-        i = index[fn]
-        provenance[frozenset((i,))] = top_of[i]
-        chain = chain_of[fn]
-        grow = [frozenset(s) for s, _ in fn] + list(extensions(chain))
-        base = dict(fn)
-        for dec, _cnt in fn:
-            for inc in grow:
-                inc_key = tuple(sorted(inc))
-                if inc_key == dec:
-                    continue
-                moved = dict(base)
-                moved[dec] -= 1
-                moved[inc_key] = moved.get(inc_key, 0) + 1
-                neighbor = _canonical_function((s, c) for s, c in moved.items() if c > 0)
-                j = index.get(neighbor)
-                if j is not None and j != i:
-                    edges.add(frozenset((i, j)))
+    for i, fn in enumerate(functions):
+        for neighbor in _one_move_neighbors(fn, sets, cache):
+            edges.add(frozenset((i, index[neighbor])))
     for e in edges:
         a, b = e
         provenance[e] = max(top_of[a], top_of[b], key=len)
@@ -307,13 +286,38 @@ def build_D_ell(
             for v in s:
                 deg_counts[v] = deg_counts.get(v, 0) + 1
     delta = max(deg_counts.values(), default=0)
-    assert cx.degree <= delta * 2**delta
-    assert len(functions) <= len(bary.simplices) * (total + 1) ** d
-    _assert_dimension_witness(chains, labels, index, total, d)
+    if cx.degree > delta * 2**delta:
+        raise ConstructionError(
+            f"refinement degree {cx.degree} exceeds delta * 2^delta for delta {delta}"
+        )
+    if len(functions) > len(bary.simplices) * (total + 1) ** d:
+        raise ConstructionError(f"{len(functions)} weight functions exceed chains*((d+1)ell+1)^d")
+    _check_dimension_witness(chains, labels, index, total, d, cache)
     return DLatticeComplex(d, ell, tuple(functions), cx, provenance)
 
 
-def _assert_dimension_witness(chains, labels, index, total, d):
+def _one_move_neighbors(fn, sets, cache: dict):
+    """Weight functions one move from ``fn``, whose support must be a chain:
+    one unit of weight leaves a support set for another set of ``sets`` that
+    is comparable with every support set, so the support stays a chain.
+    ``cache`` keeps those target sets per support."""
+    support = tuple(s for s, _ in fn)
+    targets = cache.get(support)
+    if targets is None:
+        chain = [frozenset(s) for s in support]
+        targets = tuple(tuple(sorted(t)) for t in sets if all(t <= s or s <= t for s in chain))
+        cache[support] = targets
+    for dec, _cnt in fn:
+        for inc in targets:
+            if inc == dec:
+                continue
+            moved = dict(fn)
+            moved[dec] -= 1
+            moved[inc] = moved.get(inc, 0) + 1
+            yield _canonical_function((s, c) for s, c in moved.items() if c > 0)
+
+
+def _check_dimension_witness(chains, labels, index, total, d, cache):
     """The refinement reaches the source dimension: the corner cells of any
     longest chain give d+1 pairwise one-move functions, all admissible."""
     if d == 0 or total < 2:
@@ -325,9 +329,11 @@ def _assert_dimension_witness(chains, labels, index, total, d):
     witness = [_canonical_function([(sets[0], total)])]
     for t in range(1, d + 1):
         witness.append(_canonical_function([(sets[0], total - 1), (sets[t], 1)]))
-    assert all(fn in index for fn in witness)
+    if not all(fn in index for fn in witness):
+        raise ConstructionError("a corner cell of a longest chain is not a refinement vertex")
     for a, b in itertools.combinations(witness, 2):
-        assert _one_move_apart(a, b)
+        if b not in set(_one_move_neighbors(a, labels.values(), cache)):
+            raise ConstructionError("corner cells of a longest chain are not one move apart")
 
 
 def _lattice_cliques(functions, edges, size_min, size_max, strict_cap=False):
@@ -425,10 +431,11 @@ class CoarseConstruction:
 
 
 def _measured_k(target: SimplicialComplex, vertex_map, sub_edges, provsets) -> int:
-    """Max over target simplices of the number of distinct carrier simplices
-    whose refinement cells have images meeting that simplex; closed simplices
-    meet exactly when their vertex sets intersect, so a cell counts towards
-    every target vertex in its image."""
+    """Max over the target's own simplices of the number of distinct carrier
+    simplices whose refinement cells have images meeting that simplex; closed
+    simplices meet exactly when their vertex sets intersect, so a cell counts
+    towards every target vertex in its image.  A clique of the target's
+    1-skeleton that is not a simplex does not count."""
     reach = {t: set() for t in target.vertices}
     for i in range(len(vertex_map)):
         t = vertex_map[i]
@@ -439,23 +446,17 @@ def _measured_k(target: SimplicialComplex, vertex_map, sub_edges, provsets) -> i
         for t in (vertex_map[i], vertex_map[j]):
             if t in reach:
                 reach[t].update(prov)
-    nbrs = {v: set() for v in target.vertices}
-    for u, v in target.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
     best = 0
-    for clique in _maximal_cliques(target.vertices, nbrs):
+    for simplex in target.simplices:
         hit = set()
-        for t in clique:
+        for t in simplex:
             hit |= reach[t]
         best = max(best, len(hit))
     return best
 
 
 def coarse_construct(
-    z: SimplicialComplex,
-    max_vertices: int = DEFAULT_VERTEX_LIMIT,
-    with_higher: bool = False,
+    z: SimplicialComplex, max_vertices: int = DEFAULT_VERTEX_LIMIT
 ) -> CoarseConstruction:
     """Full pipeline: relabel to 0-indexed ids, pick the code width from the
     vertex count, subdivide twice, apply the coding map, and measure.
@@ -471,7 +472,7 @@ def coarse_construct(
     ell = max(1, (n - 1).bit_length())
 
     bary, labels = barycentric_subdivision(z)
-    lattice = build_D_ell(bary, labels, ell, d, max_vertices=max_vertices, with_higher=with_higher)
+    lattice = build_D_ell(bary, labels, ell, d, max_vertices=max_vertices)
 
     words = [map_s(fn, ell, d, relabel) for fn in lattice.functions]
     sub_edges = tuple(sorted(tuple(sorted(e)) for e in lattice.complex.simplices if len(e) == 2))
@@ -483,27 +484,17 @@ def coarse_construct(
     target_id = {w: t for t, w in enumerate(image)}
     vertex_map = tuple(target_id[w] for w in words)
 
-    nbrs = {t: set() for t in range(len(image))}
-    for t, w in enumerate(image):
-        for nb in _word_neighbors(w):
-            u = target_id.get(nb)
-            if u is not None:
-                nbrs[t].add(u)
-                nbrs[u].add(t)
-    cliques = _maximal_cliques(range(len(image)), nbrs)
-    if any(len(c) > d + 1 for c in cliques):
-        raise ConstructionError("image spans a simplex above the source dimension")
-    target = build_complex(cliques, extra_vertices=range(len(image)))
+    target = _flag_complex(image, target_id, d, "image spans a simplex above the source dimension")
 
-    provsets = {
-        simplex: frozenset((prov,))
-        for simplex, prov in lattice.provenance.items()
-        if len(simplex) <= 2
-    }
+    provsets = {simplex: frozenset((prov,)) for simplex, prov in lattice.provenance.items()}
     measured = _measured_k(target, vertex_map, sub_edges, provsets)
     volume = len(image)
-    assert volume <= len(lattice.functions)
-    assert measured <= 2**z.degree
+    if volume > len(lattice.functions):
+        raise ConstructionError(
+            f"volume {volume} exceeds {len(lattice.functions)} refinement vertices"
+        )
+    if measured > 2**z.degree:
+        raise ConstructionError(f"measured_k {measured} exceeds 2^degree = {2**z.degree}")
     return CoarseConstruction(
         kind="lattice",
         source=z,
@@ -644,8 +635,12 @@ def compose(cc1: CoarseConstruction, cc2: CoarseConstruction) -> CoarseConstruct
     new_target = induced_subcomplex(cc2.target, carried)
     measured = _measured_k(new_target, cc2.vertex_map, cc2.sub_edges, new_provsets)
     volume = len(carried)
-    assert measured <= cc1.measured_k * cc2.measured_k
-    assert volume <= cc2.volume
+    if measured > cc1.measured_k * cc2.measured_k:
+        raise ConstructionError(
+            f"composite measured_k {measured} exceeds {cc1.measured_k} * {cc2.measured_k}"
+        )
+    if volume > cc2.volume:
+        raise ConstructionError(f"composite volume {volume} exceeds {cc2.volume}")
     return CoarseConstruction(
         kind="composite",
         source=cc1.source,
@@ -703,18 +698,6 @@ def parse_manifest(text: str):
     return d, ell, n, k, volume, tuple(functions), tuple(words)
 
 
-def _one_move_apart(fn_a, fn_b) -> bool:
-    """Two weight functions differ by moving one unit of weight between two
-    sets, and their supports join into a chain."""
-    a = {frozenset(s): c for s, c in fn_a}
-    b = {frozenset(s): c for s, c in fn_b}
-    union_keys = set(a) | set(b)
-    if not _support_is_chain(union_keys):
-        return False
-    deltas = sorted(v for k in union_keys if (v := a.get(k, 0) - b.get(k, 0)))
-    return deltas == [-1, 1]
-
-
 def revalidate_manifest(text: str) -> list:
     """Re-derive everything checkable from a manifest alone.
 
@@ -742,11 +725,23 @@ def revalidate_manifest(text: str) -> list:
     mismatches = sum(1 for a, b in zip(recomputed, words) if a != b)
     rows.append(CheckRow("words match coding map", mismatches, 0, mismatches == 0))
 
+    # map_s accepted every function, so each support is a chain.  A key reads
+    # each support set as a vertex set (`0-0` is `0`), as the one-move
+    # relation does; a manifest may repeat a function, so each key keeps the
+    # list of its lines, and each pair of lines is counted once (j > i).
+    keys = [_canonical_function((frozenset(s), c) for s, c in fn) for fn in functions]
+    lines_of: dict = {}
+    for i, key in enumerate(keys):
+        lines_of.setdefault(key, []).append(i)
+    sets = {frozenset(s) for key in lines_of for s, _ in key}
+    cache: dict = {}
     bad_edges = 0
-    for i, j in itertools.combinations(range(len(functions)), 2):
-        if _one_move_apart(functions[i], functions[j]):
-            if recomputed[i] != recomputed[j] and not words_adjacent(recomputed[i], recomputed[j]):
-                bad_edges += 1
+    for i, key in enumerate(keys):
+        for neighbor in _one_move_neighbors(key, sets, cache):
+            for j in lines_of.get(neighbor, ()):
+                if j > i and recomputed[i] != recomputed[j]:
+                    if not words_adjacent(recomputed[i], recomputed[j]):
+                        bad_edges += 1
     rows.append(CheckRow("simplicial on rebuilt edges", bad_edges, 0, bad_edges == 0))
 
     vol = len(set(recomputed))

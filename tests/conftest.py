@@ -142,6 +142,19 @@ def oracle_cheeger(graph: SimplicialComplex):
     return best
 
 
+def oracle_one_move(fn_a, fn_b) -> bool:
+    """Two weight functions, given as (simplex, weight) pairs, differ by one
+    unit of weight moved from one set to another, and the sets of both
+    supports together form a chain, by definition."""
+    a = {frozenset(s): c for s, c in fn_a}
+    b = {frozenset(s): c for s, c in fn_b}
+    keys = sorted(set(a) | set(b), key=len)
+    if not all(x < y for x, y in zip(keys, keys[1:])):
+        return False
+    deltas = sorted(a.get(k, 0) - b.get(k, 0) for k in keys)
+    return [x for x in deltas if x] == [-1, 1]
+
+
 def _components(verts, edges):
     adj = {v: [] for v in verts}
     for u, v in edges:

@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from topoverlap import build_complex, profile
 from topoverlap.cli import main
 from topoverlap.fileio import (
+    HEADER_VERTEX_LIMIT,
     ParseError,
     emit_complex,
     emit_csv,
@@ -39,6 +42,27 @@ def test_parse_rejects_garbage():
     for text in ("", "s 0 1\n", "c 2\nq 1\n", "c 2\ns\n", "c x\n", "c 2\nc 2\n"):
         with pytest.raises(ParseError):
             parse_complex(text)
+
+
+def test_parse_refuses_oversized_header(tmp_path, capsys):
+    """`c <n>` past HEADER_VERTEX_LIMIT is refused before any vertex is
+    built, and the CLI exits 2."""
+    assert parse_complex(f"c {HEADER_VERTEX_LIMIT}\ns 0 1\n").n_vertices == HEADER_VERTEX_LIMIT
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for n in (HEADER_VERTEX_LIMIT + 1, 10**8):
+            with pytest.raises(ParseError, match="HEADER_VERTEX_LIMIT"):
+                parse_complex(f"c {n}\ns 0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    big = tmp_path / "big.txt"
+    big.write_text("c 100000000\n")
+    assert main(["stats", str(big)]) == 2
+    assert "HEADER_VERTEX_LIMIT" in capsys.readouterr().err
 
 
 maximal_families = st.lists(

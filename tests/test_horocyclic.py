@@ -1,4 +1,12 @@
+import functools
+import hashlib
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +28,12 @@ from topoverlap import (
     words_adjacent,
     write_manifest,
 )
-from topoverlap.horocyclic import parse_manifest
-from topoverlap.reporting import all_passed
+from topoverlap import horocyclic
+from topoverlap.fileio import emit_csv
+from topoverlap.horocyclic import _measured_k, _one_move_neighbors, parse_manifest
+from topoverlap.reporting import CheckRow, all_passed
 
-from conftest import cycle, path, random_complex
+from conftest import cycle, oracle_one_move, path, random_complex
 
 
 def test_binary_code_worked_example():
@@ -249,3 +259,213 @@ def test_volume_scaling_reported_along_growing_paths():
         ratios.append(cc.volume / (n * math.log2(1 + n) ** cc.d))
     print("volume scaling ratios along paths:", [round(r, 2) for r in ratios])
     assert max(ratios) < 8
+
+
+def test_certifying_checks_run_under_optimize():
+    """The construction's guarantees are raises, not asserts, so ``python -O``
+    keeps them: a first record that claims measured_k 0 breaks the product
+    bound of ``compose``."""
+    script = (
+        "import dataclasses, sys\n"
+        "from topoverlap import ConstructionError, build_complex, coarse_construct, compose\n"
+        "cc1 = coarse_construct(build_complex([[0, 1], [1, 2]]))\n"
+        "cc2 = coarse_construct(cc1.target)\n"
+        "try:\n"
+        "    compose(dataclasses.replace(cc1, measured_k=0), cc2)\n"
+        "except ConstructionError as exc:\n"
+        "    print('optimize', sys.flags.optimize, 'refused:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize 1 refused: composite measured_k")
+
+
+def _generated_edges(functions) -> set:
+    """Refinement edges by the one-move generator, over the support sets that
+    occur in ``functions``; every generated neighbour must be one of them."""
+    sets = {frozenset(s) for fn in functions for s, _ in fn}
+    index = {fn: i for i, fn in enumerate(functions)}
+    cache: dict = {}
+    edges = set()
+    for i, fn in enumerate(functions):
+        for neighbor in _one_move_neighbors(fn, sets, cache):
+            assert neighbor in index
+            edges.add(tuple(sorted((i, index[neighbor]))))
+    return edges
+
+
+@functools.cache
+def _oracle_pairs(functions) -> tuple:
+    return tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(len(functions)), 2)
+        if oracle_one_move(functions[i], functions[j])
+    )
+
+
+def _oracle_revalidation(text: str, adjacent) -> list:
+    """The rows of ``revalidate_manifest`` recounted with a scan over every
+    two lines of the manifest, ``adjacent`` deciding word adjacency."""
+    d, ell, n, k_claim, vol_claim, functions, words = parse_manifest(text)
+    total = (d + 1) * ell
+    bad_fn = 0
+    for fn in functions:
+        sets = sorted((frozenset(s) for s, _ in fn), key=len)
+        chain = all(a < b for a, b in zip(sets, sets[1:]))
+        weights = [c for _, c in fn]
+        in_range = all(0 <= v < n for s, _ in fn for v in s)
+        bad_fn += not (chain and min(weights) >= 1 and sum(weights) == total and in_range)
+    recomputed = [map_s(fn, ell, d) for fn in functions]
+    mismatches = sum(1 for a, b in zip(recomputed, words) if a != b)
+    bad_edges = sum(
+        1
+        for i, j in _oracle_pairs(functions)
+        if recomputed[i] != recomputed[j] and not adjacent(recomputed[i], recomputed[j])
+    )
+    vol = len(set(recomputed))
+    return [
+        CheckRow("functions admissible", bad_fn, 0, bad_fn == 0),
+        CheckRow("words match coding map", mismatches, 0, mismatches == 0),
+        CheckRow("simplicial on rebuilt edges", bad_edges, 0, bad_edges == 0),
+        CheckRow("volume matches header", vol, vol_claim, vol == vol_claim),
+    ]
+
+
+def _manifest_variants(text: str) -> list:
+    """The manifest, the manifest with the words of two lines swapped, the
+    manifest with one ``f`` line repeated at its end, and the manifest with
+    a vertex written twice in one support set (``0-0:1`` for ``0:1``)."""
+    lines = text.splitlines()
+    variants = [text]
+    if len(lines) > 3:
+        first, second = (ln.rsplit(" -> ", 1) for ln in lines[1:3])
+        swapped = [lines[0], f"{first[0]} -> {second[1]}", f"{second[0]} -> {first[1]}", *lines[3:]]
+        variants.append("\n".join(swapped) + "\n")
+        variants.append("\n".join(lines + [lines[len(lines) // 2]]) + "\n")
+    for no, line in enumerate(lines[1:], start=1):
+        pairs = line[2:].split(" -> ")[0].split()
+        if len(pairs) > 1 and "-" not in pairs[0]:
+            v = pairs[0].split(":")[0]
+            doubled = [*lines[:no], f"f {v}-{v}:{line[2:].split(':', 1)[1]}", *lines[no + 1 :]]
+            variants.append("\n".join(doubled) + "\n")
+            break
+    return variants
+
+
+def _one_move_cases() -> list:
+    rng = random.Random(4242)
+    cases = [random_complex(rng, n_max=6, deg_max=4) for _ in range(12)]
+    # two triangles at a vertex: 541 functions, above the benchmark's 512-function
+    # revalidation cap
+    cases.append(build_complex([[0, 1, 2], [2, 3, 4]]))
+    return cases
+
+
+def test_one_move_generator_matches_refinement_edges_and_oracle():
+    for cx in _one_move_cases():
+        cc = coarse_construct(cx)
+        generated = _generated_edges(cc.functions)
+        assert generated == set(cc.sub_edges)
+        assert generated == set(_oracle_pairs(cc.functions))
+
+
+def test_revalidation_matches_oracle_recount(monkeypatch):
+    """The rows equal a pair-scan recount on clean manifests, manifests with
+    swapped words and manifests with a repeated line.  With every word pair
+    declared non-adjacent, the rebuilt-edge row counts the rebuilt edges
+    themselves, each pair of lines once."""
+    sizes = []
+    rebuilt = 0
+    for cx in _one_move_cases():
+        text = write_manifest(coarse_construct(cx))
+        sizes.append(text.count("\nf "))
+        for variant in _manifest_variants(text):
+            assert revalidate_manifest(variant) == _oracle_revalidation(variant, words_adjacent)
+            with monkeypatch.context() as m:
+                m.setattr(horocyclic, "words_adjacent", lambda a, b: False)
+                rows = revalidate_manifest(variant)
+            assert rows == _oracle_revalidation(variant, lambda a, b: False)
+            rebuilt += rows[2].lhs
+    assert max(sizes) > 512
+    assert rebuilt > 0
+
+
+def test_measured_k_counts_simplices_not_cliques():
+    """measured_k maximises over the target's simplices.  The hollow
+    triangle's three edges form a clique that is no simplex; an edge meets
+    its two vertices, the third vertex and all three edges: 5 carriers.
+    The filled triangle counts all 3 vertices and 3 edges: 6."""
+    assert identity_construction(cycle(3)).measured_k == 5
+    assert identity_construction(build_complex([[0, 1, 2]])).measured_k == 6
+
+
+def test_measured_k_on_lattice_targets_matches_maximal_cliques():
+    """Lattice targets are flag complexes, so the maximum over simplices is
+    the maximum over the maximal cliques of the target's 1-skeleton."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(515)
+    for _ in range(10):
+        cc = coarse_construct(random_complex(rng, n_max=8, deg_max=4))
+        reach = {t: set() for t in cc.target.vertices}
+        for i, t in enumerate(cc.vertex_map):
+            reach[t] |= cc.provsets[frozenset((i,))]
+        for i, j in cc.sub_edges:
+            for t in (cc.vertex_map[i], cc.vertex_map[j]):
+                reach[t] |= cc.provsets[frozenset((i, j))]
+        graph = nx.Graph()
+        graph.add_nodes_from(cc.target.vertices)
+        graph.add_edges_from(cc.target.edges)
+        cliques = list(nx.find_cliques(graph))
+        assert all(frozenset(c) in cc.target.simplices for c in cliques)
+        best = max(len(set().union(*(reach[t] for t in c))) for c in cliques)
+        assert cc.measured_k == best
+        assert _measured_k(cc.target, cc.vertex_map, cc.sub_edges, cc.provsets) == best
+
+
+# SHA-256 of write_manifest + emit_csv(validate_construction rows + revalidate_manifest
+# rows) for the first 20 distinct complexes of the criterion-4 recipe with n <= 8
+# drawn from Random(404).  Recorded before the one-move generator and the flag
+# completion were shared; any change to these bytes must be a documented fix.
+GOLDEN_CONSTRUCTIONS = [
+    "9007d81c80976c2f43b6e447756735b92df96c78683282f1825a6439288082ac",  # n=2 dim=1 N=5 k=2
+    "83eb852b40887dc8a80eddf150001af04678dbb43f99859610019e104cadfb14",  # n=1 dim=0 N=1 k=1
+    "4aed1a5659ee039a836bbafe16707a013bda8f05a60636574999c95d03dd7168",  # n=3 dim=0 N=3 k=1
+    "91c927ea6aabaf8f39122ec0331fea2d08fd8c7da0b58ba4d0634d8d4ba2ce48",  # n=8 dim=2 N=5390 k=19
+    "67da3b89bb179349f9aac9435cef86d1b1e75503972ccdafa88b1d3a2786564b",  # n=5 dim=1 N=27 k=3
+    "5a635a2b72da4778c692c88009c1e423f2e9114747d03cb33903c6d4bc360c83",  # n=7 dim=1 N=51 k=3
+    "1f8914490b0ee1148ee7ecde2de7bac411ce89c3ef5e3dc30e569541bf1292fc",  # n=7 dim=1 N=18 k=2
+    "f9009eccd183d90f27ab67934804fbdabe4dc21c015b58e135b57bc4d6b3ff42",  # n=7 dim=1 N=40 k=3
+    "2438700a188bc173f8792e1b89de3433917863a84da6f3d958ae480615c5586f",  # n=4 dim=2 N=252 k=6
+    "066f6670f5843cc21aeeee724a0428bb7096ab7b31b1071c6f546dcd0252c414",  # n=8 dim=2 N=880 k=8
+    "0799f1098a1f7d8640a3d16a638d0299be2cc0c011df82f0d349c336ac72df8e",  # n=6 dim=2 N=3733 k=15
+    "e1acdc8dbe9721cbb788da5c618e612e5cc11fff7272156b51c8c05f98f11b61",  # n=4 dim=2 N=434 k=7
+    "d538cdc57ab8489291b4ca9640e63028c70143188240dfb9fa32c2face65a003",  # n=3 dim=2 N=127 k=4
+    "b3ddf57b0c2152617ed0c43d9bfadfe6b785cdaf3f7ee3d1e4739f3c269367d6",  # n=7 dim=2 N=1798 k=10
+    "fa130c4f938731f428f081eb0dd103a3ac77027a55ee574cbcfcccba616df504",  # n=8 dim=1 N=107 k=6
+    "b4ef250604a4d5dd01ea0a4fc6d9c8a55384626ca7f026665ba3b6dbdcf77670",  # n=5 dim=0 N=5 k=1
+    "8712ea140df70e66ce611a181f8a89ea246019608f125c879e6f3927f4ceac8a",  # n=6 dim=2 N=342 k=6
+    "0cd1b2f1d7aea01adebffcab483c9cc8b23571baf4d8d4e3b3fa4a2f9c861af0",  # n=6 dim=2 N=593 k=6
+    "3e8c35b14872e445daa3540206f4e9543fe43b7208a2f117237ee51a428851db",  # n=6 dim=1 N=50 k=3
+    "fd80517490cde90a12d14d2a46c15646e1856bc12fefe06b545ae400c65bcd3e",  # n=7 dim=2 N=1764 k=11
+]
+
+
+def test_constructions_match_golden_hashes():
+    rng = random.Random(404)
+    seen = set()
+    digests = []
+    while len(digests) < len(GOLDEN_CONSTRUCTIONS):
+        cx = random_complex(rng, n_max=8, deg_max=6)
+        if cx.simplices in seen:
+            continue
+        seen.add(cx.simplices)
+        cc = coarse_construct(cx)
+        text = write_manifest(cc)
+        rows = validate_construction(cc, 2**cx.degree, cc.volume) + revalidate_manifest(text)
+        digests.append(hashlib.sha256((text + emit_csv(rows)).encode()).hexdigest())
+    assert digests == GOLDEN_CONSTRUCTIONS
