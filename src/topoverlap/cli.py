@@ -36,7 +36,7 @@ def _load_complex(path: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker threads for search loops")
+    common.add_argument("--threads", type=int, default=1, help="worker threads for the translate search")
     common.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
 
     top = argparse.ArgumentParser(prog="topoverlap", parents=[common])
@@ -147,9 +147,7 @@ def _cmd_profile(args) -> tuple:
         if not args.candidates:
             raise ParseError(1, "--candidates file required in candidates mode")
         cands = parse_candidates(_read(args.candidates))
-    table = profiles.profile(
-        cx, args.invariant, args.rmax, mode=args.mode, candidates=cands, threads=args.threads
-    )
+    table = profiles.profile(cx, args.invariant, args.rmax, mode=args.mode, candidates=cands)
     return 0, emit_csv(table)
 
 

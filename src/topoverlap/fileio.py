@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .complexes import MalformedComplexError, SimplicialComplex, build_complex
 from .cubes import CubeSet
-from .profiles import ProfileEntry, ProfileTable
+from .profiles import PROFILE_RMAX_LIMIT, ProfileEntry, ProfileTable
 from .reporting import CheckRow
 
 __all__ = [
@@ -28,8 +28,8 @@ __all__ = [
 
 # `c <n>` creates n vertices before any simplex is read: 10^6 took about 3 s
 # and 435 MB on a 2-core machine, so a larger header is refused before
-# anything is built.
-HEADER_VERTEX_LIMIT = 10**5
+# anything is built.  Profiles refuse r_max past the same value.
+HEADER_VERTEX_LIMIT = PROFILE_RMAX_LIMIT
 
 
 class ParseError(MalformedComplexError):

@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from ._util import SizeLimitError
 from .complexes import (
     MalformedComplexError,
     SimplicialComplex,
@@ -35,6 +36,7 @@ from .reporting import CheckRow
 __all__ = [
     "EncodingError",
     "ConstructionError",
+    "VertexLimitError",
     "HorocyclicComplex",
     "DLatticeComplex",
     "CoarseConstruction",
@@ -61,6 +63,15 @@ class EncodingError(ValueError):
 
 class ConstructionError(RuntimeError):
     """An internal guarantee of the construction failed; indicates a bug."""
+
+
+class VertexLimitError(ConstructionError, SizeLimitError):
+    """A construction would create more vertices than its limit allows."""
+
+
+def _vertex_limit_error(count: int, max_vertices: int) -> VertexLimitError:
+    name = "DEFAULT_VERTEX_LIMIT" if max_vertices == DEFAULT_VERTEX_LIMIT else "max_vertices"
+    return VertexLimitError(f"would create {count} vertices, more than {name}={max_vertices}")
 
 
 def binary_code(k: int, i: int, ell: int, d: int) -> str:
@@ -166,7 +177,7 @@ def build_H_ell(d: int, ell: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> H
     total = (d + 1) * ell
     count = math.comb(total + d, d) * 2**total
     if count > max_vertices:
-        raise ConstructionError(f"would create {count} > {max_vertices} vertices")
+        raise _vertex_limit_error(count, max_vertices)
 
     words = []
     for cut in itertools.combinations(range(total + d), d):
@@ -239,7 +250,7 @@ def build_D_ell(
     chains = sorted(bary.simplices, key=lambda c: (len(c), sorted(c)))
     expected = sum(math.comb(total - 1, len(c) - 1) for c in chains)
     if expected > max_vertices:
-        raise ConstructionError(f"would create {expected} > {max_vertices} vertices")
+        raise _vertex_limit_error(expected, max_vertices)
 
     functions = []
     for chain in chains:

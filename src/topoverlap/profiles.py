@@ -11,13 +11,13 @@ and the line-by-line verification of the expander-to-separator chain.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._util import SizeLimitError, components_of, parallel_map
-from .complexes import SimplicialComplex, as_graph, induced_subcomplex, skeleton
+from ._util import SizeLimitError
+from ._util import parallel_map  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
+from .complexes import SimplicialComplex, as_graph, build_complex, induced_subcomplex, skeleton
 from .invariants import cheeger_exact, cutwidth_exact, separation_cut
 from .reporting import CheckRow, all_passed
 
@@ -36,7 +36,13 @@ __all__ = [
     "host_signature",
 ]
 
-_EXACT_PROFILE_LIMIT = 16
+# Exact profiles score every connected vertex set of at most r_max vertices
+# and refuse a host with more of them than this.  A host of at most 16
+# vertices has at most 2^16 - 1 non-empty vertex sets, so all of them pass.
+PROFILE_SET_LIMIT = 1 << 16
+# Rows past the host size repeat the last one; no complex file can declare
+# more vertices than this (fileio.HEADER_VERTEX_LIMIT is this value).
+PROFILE_RMAX_LIMIT = 10**5
 
 INVARIANTS = ("cutwidth", "separation")
 
@@ -121,16 +127,84 @@ def host_signature(graph: SimplicialComplex) -> tuple:
     return (graph.n_vertices, tuple(graph.sorted_simplices()))
 
 
-def _connected(verts, edges) -> bool:
-    if len(verts) <= 1:
-        return True
-    return len(components_of(verts, edges)) == 1
-
-
 def _invariant_value(graph: SimplicialComplex, invariant: str) -> int:
     if invariant == "cutwidth":
         return cutwidth_exact(graph).width
     return len(separation_cut(graph).separator)
+
+
+def _set_limit_error(r_max: int) -> SizeLimitError:
+    return SizeLimitError(
+        f"more than PROFILE_SET_LIMIT={PROFILE_SET_LIMIT} connected vertex sets "
+        f"at r_max={r_max}; an exact profile scores every one"
+    )
+
+
+def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
+    """Connected vertex sets of 1..r_max vertices of a graph, by size.
+
+    ``by_size[k]`` holds each set of k vertices as a sorted tuple, paired
+    with the subgraph induced on its root's ball, in lexicographic order of
+    the sets.  ESU (Wernicke, 2006) finds each set once, grown from its
+    least vertex, the root, by adjacent vertices above the root; these all
+    lie in the root's ball, the vertices reached from the root in fewer
+    than r_max steps through vertices above it.  A set's subgraph is later
+    cut from its ball rather than from the host, so scoring it costs the
+    same on a large host.  Refuses as soon as the count passes
+    PROFILE_SET_LIMIT.
+    """
+    verts, edges = as_graph(host)
+    n = len(verts)
+    top = max(0, min(r_max, n))
+    if top and n > PROFILE_SET_LIMIT:  # the single vertices alone pass it
+        raise _set_limit_error(r_max)
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[] for _ in verts]
+    for u, v in edges:
+        nbrs[index[u]].append(index[v])
+        nbrs[index[v]].append(index[u])
+    by_size = [[] for _ in range(top + 1)]
+    count = 0
+    for root in range(n if top else 0):
+        depth = {root: 0}
+        ball = [root]
+        for x in ball:
+            if depth[x] + 1 < top:
+                for y in nbrs[x]:
+                    if y > root and y not in depth:
+                        depth[y] = depth[x] + 1
+                        ball.append(y)
+                        # The ball induces a connected graph, and one on b
+                        # vertices has at least b - j + 1 connected sets of
+                        # j vertices, none of them counted yet.
+                        b, k = len(ball), min(top, len(ball))
+                        if count + k * b - k * (k - 1) // 2 > PROFILE_SET_LIMIT:
+                            raise _set_limit_error(r_max)
+        ball.sort()
+        local = {x: i for i, x in enumerate(ball)}
+        adj = [sum(1 << local[y] for y in nbrs[x] if y in local) for x in ball]
+        ids = [verts[x] for x in ball]
+        ball_cx = build_complex(
+            [[verts[x], verts[y]] for x in ball for y in nbrs[x] if x < y and y in local],
+            extra_vertices=ids,
+        )
+        # (members, their closed neighbourhood, extension) in ball indices
+        stack = [((0,), adj[0] | 1, adj[0])]
+        while stack:
+            members, near, ext = stack.pop()
+            count += 1
+            if count > PROFILE_SET_LIMIT:
+                raise _set_limit_error(r_max)
+            by_size[len(members)].append((tuple(ids[i] for i in sorted(members)), ball_cx))
+            if len(members) < top:
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    w = low.bit_length() - 1
+                    stack.append((members + (w,), near | adj[w], ext | (adj[w] & ~near)))
+    for bucket in by_size:
+        bucket.sort(key=lambda item: item[0])
+    return by_size
 
 
 def profile(
@@ -139,24 +213,28 @@ def profile(
     r_max: int,
     mode: str = "exact",
     candidates=None,
-    threads: int = 1,
 ) -> ProfileTable:
     """Profile table of an invariant over induced subgraphs of ``host``.
 
-    Exact mode enumerates every vertex subset of size <= r_max (host capped
-    at 16 vertices); disconnected subsets are skipped because both invariants
+    Exact mode scores every connected vertex set of at most r_max vertices,
+    enumerated by ESU, and refuses a host with more than PROFILE_SET_LIMIT
+    of them.  Disconnected sets are never scored, because both invariants
     reach their maximum on a connected induced subgraph of no larger order.
-    Candidates mode evaluates only the supplied vertex sets and tags all
-    entries as lower bounds.  Hosts of higher dimension are reduced to their
-    1-skeleton first; both invariants only see vertices and edges.
+    Each row's witness is the first maximiser in (size, lexicographic)
+    order.  Candidates mode evaluates only the supplied vertex sets and tags
+    all entries as lower bounds.  Hosts of higher dimension are reduced to
+    their 1-skeleton first; both invariants only see vertices and edges.
+    Either mode refuses r_max past PROFILE_RMAX_LIMIT.
     """
     if invariant not in INVARIANTS:
         raise ValueError(f"unknown invariant {invariant!r}")
+    if r_max > PROFILE_RMAX_LIMIT:
+        raise SizeLimitError(
+            f"r_max {r_max} exceeds PROFILE_RMAX_LIMIT ({PROFILE_RMAX_LIMIT}), "
+            "the most vertices a complex file can declare"
+        )
     if host.dimension > 1:
         host = skeleton(host, 1)
-    verts, edges = as_graph(host)
-    n = len(verts)
-    sig = host_signature(host)
 
     if mode == "candidates":
         if candidates is None:
@@ -172,32 +250,20 @@ def profile(
                 if size <= r and val > best:
                     best, witness = val, cand
             entries[r] = ProfileEntry(best, witness, "lower_bound")
-        return ProfileTable(invariant, entries, sig)
+        return ProfileTable(invariant, entries, host_signature(host))
 
     if mode != "exact":
         raise ValueError(f"unknown profile mode {mode!r}")
-    if n > _EXACT_PROFILE_LIMIT:
-        raise SizeLimitError(
-            f"exact profiles enumerate subsets; host limited to {_EXACT_PROFILE_LIMIT} vertices, got {n}"
-        )
-
-    def score(subset):
-        sub_edges = [(u, v) for u, v in edges if u in subset and v in subset]
-        if not _connected(subset, sub_edges):
-            return None
-        return _invariant_value(induced_subcomplex(host, subset), invariant)
-
+    by_size = _connected_sets(host, r_max)
     entries = {0: ProfileEntry(0, (), "exact")}
     best, witness = 0, ()
     for r in range(1, r_max + 1):
-        if r <= n:
-            subsets = list(itertools.combinations(verts, r))  # lexicographic
-            values = parallel_map(score, subsets, threads)
-            for subset, val in zip(subsets, values):
-                if val is not None and val > best:
-                    best, witness = val, subset
+        for subset, ball_cx in by_size[r] if r < len(by_size) else ():
+            val = _invariant_value(induced_subcomplex(ball_cx, subset), invariant)
+            if val > best:
+                best, witness = val, subset
         entries[r] = ProfileEntry(best, witness, "exact")
-    return ProfileTable(invariant, entries, sig)
+    return ProfileTable(invariant, entries, host_signature(host))
 
 
 def verify_cwsep(cw_table: ProfileTable, sep_table: ProfileTable, delta: int):

@@ -155,6 +155,33 @@ def oracle_one_move(fn_a, fn_b) -> bool:
     return [x for x in deltas if x] == [-1, 1]
 
 
+def oracle_profile(host: SimplicialComplex, invariant: str, r_max: int) -> dict:
+    """r -> (value, witness) of an exact profile, by walking every vertex
+    subset of each size in ``itertools.combinations`` order, skipping the
+    disconnected ones and keeping the first strict maximiser."""
+    from topoverlap import cutwidth_exact, induced_subcomplex, separation_cut, skeleton
+
+    if host.dimension > 1:
+        host = skeleton(host, 1)
+    verts, edges = as_graph(host)
+    out = {0: (0, ())}
+    best, witness = 0, ()
+    for r in range(1, r_max + 1):
+        for subset in itertools.combinations(verts, r) if r <= len(verts) else ():
+            inside = set(subset)
+            if len(_components(list(subset), [e for e in edges if e[0] in inside and e[1] in inside])) > 1:
+                continue
+            sub = induced_subcomplex(host, subset)
+            if invariant == "cutwidth":
+                val = cutwidth_exact(sub).width
+            else:
+                val = len(separation_cut(sub).separator)
+            if val > best:
+                best, witness = val, subset
+        out[r] = (best, witness)
+    return out
+
+
 def _components(verts, edges):
     adj = {v: [] for v in verts}
     for u, v in edges:

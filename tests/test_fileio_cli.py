@@ -177,6 +177,24 @@ def test_cli_profile_candidates_mode(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refuses_oversized_inputs(tmp_path, capsys):
+    """Inputs past a limit exit 2 with a one-line message naming it."""
+    p3 = _write_complex(tmp_path, "p3.txt", path(3))
+    g8 = _write_complex(tmp_path, "g8.txt", grid(8, 8))
+    triangles = _write_complex(
+        tmp_path, "tri.txt", build_complex([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(400)])
+    )
+    for argv, limit in (
+        (["profile", p3, "--invariant", "cutwidth", "--rmax", "2000000"], "PROFILE_RMAX_LIMIT"),
+        (["profile", g8, "--invariant", "cutwidth", "--rmax", "8", "--threads", "2"], "PROFILE_SET_LIMIT"),
+        (["horocyclic", "construct", triangles, "--validate"], "DEFAULT_VERTEX_LIMIT"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and limit in err
+
+
 def test_profile_reduces_to_one_skeleton():
     from topoverlap import profile as profile_op
     from topoverlap import skeleton as skeleton_op

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,14 +19,22 @@ from topoverlap import (
     verify_cwsep,
     verify_expander_chain,
 )
-from topoverlap.profiles import ProfileEntry, ProfileTable
+from topoverlap import profiles
+from topoverlap.profiles import (
+    PROFILE_RMAX_LIMIT,
+    ProfileEntry,
+    ProfileTable,
+    _connected_sets,
+)
 
 from conftest import (
     all_subgraph_values,
     clique,
     cycle,
     grid,
+    oracle_profile,
     path,
+    random_complex,
     random_graph,
     star,
 )
@@ -61,13 +71,93 @@ def test_profile_monotone_and_witness_valid():
             assert cutwidth_exact(sub).width == e.value
 
 
-def test_profile_guards_and_modes():
-    with pytest.raises(SizeLimitError):
-        profile(path(17), "cutwidth", 4)
+def test_profile_guards_and_modes(monkeypatch):
+    monkeypatch.setattr(profiles, "PROFILE_SET_LIMIT", 10)
+    assert profile(path(4), "cutwidth", 4).entries[4].value == 1  # 4 + 3 + 2 + 1 sets
+    with pytest.raises(SizeLimitError, match="PROFILE_SET_LIMIT"):
+        profile(path(5), "cutwidth", 4)  # 5 + 4 + 3 + 2 sets
     with pytest.raises(ValueError):
         profile(path(4), "girth", 3)
     with pytest.raises(ValueError):
         profile(path(4), "cutwidth", 3, mode="candidates")
+
+
+def _relabel(graph, ids):
+    """The same graph on vertex ids ``ids[v]``."""
+    return build_complex(
+        [[ids[u], ids[v]] for u, v in graph.edges], extra_vertices=[ids[v] for v in graph.vertices]
+    )
+
+
+def test_profile_matches_combinations_oracle(rng):
+    """Values and witnesses equal those of walking every vertex subset in
+    ``combinations`` order, on hosts with gaps in their vertex ids,
+    several components, isolated vertices and triangles, for r_max from 0
+    to past the host size."""
+    hosts = [
+        build_complex([[3, 10], [10, 11], [3, 11], [40, 41], [41, 42]], extra_vertices=[0, 7, 99]),
+        build_complex([], extra_vertices=[2, 5, 9]),
+        build_complex([]),
+    ]
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+        hosts.append(_relabel(g, sorted(rng.sample(range(4 * n), n))))
+    hosts += [random_complex(rng, n_max=8, deg_max=4) for _ in range(3)]
+    for host in hosts:
+        n = host.n_vertices
+        for r_max in sorted({0, rng.randint(1, max(n, 1)), n, n + 2}):
+            for invariant in ("cutwidth", "separation"):
+                table = profile(host, invariant, r_max)
+                assert table.is_exact()
+                got = {r: (e.value, e.witness) for r, e in table.entries.items()}
+                assert got == oracle_profile(host, invariant, r_max)
+
+
+def test_profile_set_limit_refuses_long_paths_early():
+    """A 10^5-vertex path is refused at once, at any r_max.  Long paths
+    within the vertex count are refused by the set limit, not by
+    recursion, while their first ball is a few hundred vertices."""
+    big, long = path(10**5), path(60000)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for host, r_max in ((big, 1), (big, 4), (big, 10**5), (long, 60000)):
+            with pytest.raises(SizeLimitError, match="PROFILE_SET_LIMIT"):
+                profile(host, "cutwidth", r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 16 * 2**20
+    with pytest.raises(SizeLimitError, match="PROFILE_SET_LIMIT"):
+        profile(path(2000), "separation", 2000)
+
+
+def test_profile_set_limit_on_the_8x8_grid(monkeypatch):
+    """The 8x8 grid has 31 385 connected sets of at most 7 vertices and
+    96 063 of at most 8: an exact table is given to r = 7 and refused at 8."""
+    host = grid(8, 8)
+    assert sum(len(bucket) for bucket in _connected_sets(host, 7)) == 31385
+    table = profile(host, "cutwidth", 7)
+    assert table.is_exact() and table.entries[7].value == 3
+    witness = table.entries[7].witness
+    assert cutwidth_exact(induced_subcomplex(host, witness)).width == 3
+    with pytest.raises(SizeLimitError, match="PROFILE_SET_LIMIT"):
+        profile(host, "cutwidth", 8)
+    monkeypatch.setattr(profiles, "PROFILE_SET_LIMIT", 10**5)
+    assert sum(len(bucket) for bucket in _connected_sets(host, 8)) == 96063
+
+
+def test_profile_rmax_limit():
+    host = path(3)
+    table = profile(host, "cutwidth", PROFILE_RMAX_LIMIT)
+    assert table.r_max == PROFILE_RMAX_LIMIT and table.value(PROFILE_RMAX_LIMIT) == 1
+    for mode, cands in (("exact", None), ("candidates", [{0, 1}])):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="PROFILE_RMAX_LIMIT"):
+            profile(host, "cutwidth", PROFILE_RMAX_LIMIT + 1, mode=mode, candidates=cands)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_profile_candidates_mode_lower_bounds():
