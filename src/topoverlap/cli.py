@@ -36,7 +36,7 @@ def _load_complex(path: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker threads for the translate search")
+    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     common.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
 
     top = argparse.ArgumentParser(prog="topoverlap", parents=[common])
@@ -175,7 +175,7 @@ def _cmd_horocyclic(args) -> tuple:
 
 def _cmd_translate(args) -> tuple:
     cubes, r = parse_cubes(_read(args.cubes))
-    result = find_translate(cubes, r, args.q, threads=args.threads)
+    result = find_translate(cubes, r, args.q)
     text = (
         f"v,{' '.join(map(str, result.v))}\n"
         f"count,{result.count}\n"

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._util import parallel_map
+from ._util import parallel_map  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
 
 __all__ = [
     "CubeSet",
@@ -87,7 +87,7 @@ def intersect_with_Y(cubes: CubeSet, r: int, q: int) -> CubeSet:
     return CubeSet(cubes.k, frozenset(keep))
 
 
-def find_translate(cubes: CubeSet, r: int, q: int, threads: int = 1) -> TranslateResult:
+def find_translate(cubes: CubeSet, r: int, q: int) -> TranslateResult:
     """Best translate of a cube set away from the coarse skeleton.
 
     Searches every v in {0..r-1}^k (translation by r*Z^k is a symmetry of
@@ -103,9 +103,7 @@ def find_translate(cubes: CubeSet, r: int, q: int, threads: int = 1) -> Translat
     def count_at(v):
         return sum(1 for m in cubes.roots if cube_in_Y(tuple(x - d for x, d in zip(m, v)), r, q, k))
 
-    candidates = list(itertools.product(range(r), repeat=k))
-    counts = parallel_map(count_at, candidates, threads)
-    best_count, best_v = min(zip(counts, candidates))
+    best_count, best_v = min((count_at(v), v) for v in itertools.product(range(r), repeat=k))
     assert best_count <= bound
     return TranslateResult(best_v, best_count, bound)
 

@@ -61,7 +61,7 @@ def parse_complex(text: str) -> SimplicialComplex:
             n_vertices = int(parts[1])
             if n_vertices > HEADER_VERTEX_LIMIT:
                 raise ParseError(
-                    no, f"{n_vertices} vertices exceed HEADER_VERTEX_LIMIT ({HEADER_VERTEX_LIMIT})"
+                    no, f"{n_vertices} vertices exceed HEADER_VERTEX_LIMIT={HEADER_VERTEX_LIMIT}"
                 )
         elif parts[0] == "s":
             if n_vertices is None:

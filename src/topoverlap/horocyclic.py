@@ -69,9 +69,10 @@ class VertexLimitError(ConstructionError, SizeLimitError):
     """A construction would create more vertices than its limit allows."""
 
 
-def _vertex_limit_error(count: int, max_vertices: int) -> VertexLimitError:
-    name = "DEFAULT_VERTEX_LIMIT" if max_vertices == DEFAULT_VERTEX_LIMIT else "max_vertices"
-    return VertexLimitError(f"would create {count} vertices, more than {name}={max_vertices}")
+def _vertex_limit_error(count: int) -> VertexLimitError:
+    return VertexLimitError(
+        f"would create {count} vertices, more than DEFAULT_VERTEX_LIMIT={DEFAULT_VERTEX_LIMIT}"
+    )
 
 
 def binary_code(k: int, i: int, ell: int, d: int) -> str:
@@ -164,20 +165,16 @@ class HorocyclicComplex:
     complex: SimplicialComplex
     words: tuple  # vertex id -> word tuple
 
-    @property
-    def index(self) -> dict:
-        return {w: i for i, w in enumerate(self.words)}
 
-
-def build_H_ell(d: int, ell: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> HorocyclicComplex:
+def build_H_ell(d: int, ell: int) -> HorocyclicComplex:
     """All word tuples of total length (d+1)*ell, with rule edges and flag
     completion.  Vertex ids follow (length profile, words) order."""
     if d < 1 or ell < 1:
         raise ValueError("need d >= 1 and ell >= 1")
     total = (d + 1) * ell
     count = math.comb(total + d, d) * 2**total
-    if count > max_vertices:
-        raise _vertex_limit_error(count, max_vertices)
+    if count > DEFAULT_VERTEX_LIMIT:
+        raise _vertex_limit_error(count)
 
     words = []
     for cut in itertools.combinations(range(total + d), d):
@@ -223,17 +220,12 @@ class DLatticeComplex:
     complex: SimplicialComplex
     provenance: dict
 
-    @property
-    def index(self) -> dict:
-        return {f: i for i, f in enumerate(self.functions)}
-
 
 def build_D_ell(
     bary: SimplicialComplex,
     labels: dict,
     ell: int,
     d: int,
-    max_vertices: int = DEFAULT_VERTEX_LIMIT,
     with_higher: bool = False,
 ) -> DLatticeComplex:
     """All admissible weight functions on the chains of ``bary`` and their
@@ -249,8 +241,8 @@ def build_D_ell(
     total = (d + 1) * ell
     chains = sorted(bary.simplices, key=lambda c: (len(c), sorted(c)))
     expected = sum(math.comb(total - 1, len(c) - 1) for c in chains)
-    if expected > max_vertices:
-        raise _vertex_limit_error(expected, max_vertices)
+    if expected > DEFAULT_VERTEX_LIMIT:
+        raise _vertex_limit_error(expected)
 
     functions = []
     for chain in chains:
@@ -466,9 +458,7 @@ def _measured_k(target: SimplicialComplex, vertex_map, sub_edges, provsets) -> i
     return best
 
 
-def coarse_construct(
-    z: SimplicialComplex, max_vertices: int = DEFAULT_VERTEX_LIMIT
-) -> CoarseConstruction:
+def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
     """Full pipeline: relabel to 0-indexed ids, pick the code width from the
     vertex count, subdivide twice, apply the coding map, and measure.
 
@@ -483,7 +473,7 @@ def coarse_construct(
     ell = max(1, (n - 1).bit_length())
 
     bary, labels = barycentric_subdivision(z)
-    lattice = build_D_ell(bary, labels, ell, d, max_vertices=max_vertices)
+    lattice = build_D_ell(bary, labels, ell, d)
 
     words = [map_s(fn, ell, d, relabel) for fn in lattice.functions]
     sub_edges = tuple(sorted(tuple(sorted(e)) for e in lattice.complex.simplices if len(e) == 2))

@@ -35,6 +35,8 @@ __all__ = [
     "DEFAULT_DP_LIMIT",
     "DEFAULT_SEARCH_SIZE_LIMIT",
     "DEFAULT_STATE_LIMIT",
+    "BRUTEFORCE_LIMIT",
+    "SUBSET_SCAN_LIMIT",
 ]
 
 # cutwidth_exact runs the subset DP on graphs of up to DEFAULT_DP_LIMIT
@@ -44,12 +46,14 @@ __all__ = [
 # bit sets over all the vertices and each of its steps scans the choices
 # and their edges, and gives up after DEFAULT_STATE_LIMIT steps, each a
 # prefix set expanded or looked up.  The slowest graphs tried within both
-# limits took about 6 s and 25 MB there to be refused.
+# limits took about 6 s and 25 MB there to be refused.  Brute force tries
+# n! orders and the separator and Cheeger scans 2^n subsets.  Each solver
+# reads its limits when it is called.
 DEFAULT_DP_LIMIT = 24
 DEFAULT_SEARCH_SIZE_LIMIT = 4096
 DEFAULT_STATE_LIMIT = 1 << 17
-_BRUTEFORCE_LIMIT = 9
-_SUBSET_SCAN_LIMIT = 20
+BRUTEFORCE_LIMIT = 9
+SUBSET_SCAN_LIMIT = 20
 
 # numpy pays off for the subset DP only once the state space is large
 _PURE_PYTHON_DP_MAX = 15
@@ -570,8 +574,8 @@ def cutwidth_bruteforce(graph: SimplicialComplex) -> LinearArrangement:
     """
     verts, iedges, _ = _index_graph(graph)
     n = len(verts)
-    if n > _BRUTEFORCE_LIMIT:
-        raise SizeLimitError(f"brute force limited to {_BRUTEFORCE_LIMIT} vertices, got {n}")
+    if n > BRUTEFORCE_LIMIT:
+        raise SizeLimitError(f"graph has {n} vertices, more than BRUTEFORCE_LIMIT={BRUTEFORCE_LIMIT}")
     if n <= 1:
         return LinearArrangement(tuple(verts), (0,) * n, 0)
     perms, pos = _perm_tables(n)
@@ -688,7 +692,7 @@ def to1_bounds(graph: SimplicialComplex) -> To1Bounds:
     return To1Bounds(lower, upper, realized)
 
 
-def separation_cut(graph: SimplicialComplex, limit: int = _SUBSET_SCAN_LIMIT) -> SeparatorWitness:
+def separation_cut(graph: SimplicialComplex) -> SeparatorWitness:
     """Minimum vertex set whose removal leaves all components of order <= n/2.
 
     Enumerates candidate separators in increasing size, lexicographically
@@ -697,8 +701,8 @@ def separation_cut(graph: SimplicialComplex, limit: int = _SUBSET_SCAN_LIMIT) ->
     """
     verts, edges = as_graph(graph)
     n = len(verts)
-    if n > limit:
-        raise SizeLimitError(f"separation brute force limited to {limit} vertices, got {n}")
+    if n > SUBSET_SCAN_LIMIT:
+        raise SizeLimitError(f"graph has {n} vertices, more than SUBSET_SCAN_LIMIT={SUBSET_SCAN_LIMIT}")
     half = n / 2
     for size in range(n + 1):
         for cand in itertools.combinations(verts, size):
@@ -712,7 +716,7 @@ def separation_cut(graph: SimplicialComplex, limit: int = _SUBSET_SCAN_LIMIT) ->
     raise AssertionError("removing all vertices always balances the graph")
 
 
-def cheeger_exact(graph: SimplicialComplex, limit: int = _SUBSET_SCAN_LIMIT) -> CheegerWitness:
+def cheeger_exact(graph: SimplicialComplex) -> CheegerWitness:
     """Exact vertex Cheeger constant via a full subset scan.
 
     h = min |boundary(A)| / |A| over non-empty A with |A| <= n/2, as an exact
@@ -720,8 +724,8 @@ def cheeger_exact(graph: SimplicialComplex, limit: int = _SUBSET_SCAN_LIMIT) -> 
     """
     verts, _, adj = _index_graph(graph)
     n = len(verts)
-    if n > limit:
-        raise SizeLimitError(f"Cheeger subset scan limited to {limit} vertices, got {n}")
+    if n > SUBSET_SCAN_LIMIT:
+        raise SizeLimitError(f"graph has {n} vertices, more than SUBSET_SCAN_LIMIT={SUBSET_SCAN_LIMIT}")
     if n <= 1:
         return CheegerWitness(float("inf"), None)
     best_val = None

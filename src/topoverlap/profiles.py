@@ -230,7 +230,7 @@ def profile(
         raise ValueError(f"unknown invariant {invariant!r}")
     if r_max > PROFILE_RMAX_LIMIT:
         raise SizeLimitError(
-            f"r_max {r_max} exceeds PROFILE_RMAX_LIMIT ({PROFILE_RMAX_LIMIT}), "
+            f"r_max {r_max} exceeds PROFILE_RMAX_LIMIT={PROFILE_RMAX_LIMIT}, "
             "the most vertices a complex file can declare"
         )
     if host.dimension > 1:
@@ -322,7 +322,7 @@ def expander_certificate(family, epsilon):
     return ExpanderCertificate(epsilon, max(degrees), tuple(per_member))
 
 
-def extract_expander(graph: SimplicialComplex, target, limit: int = 20) -> ExtractionResult:
+def extract_expander(graph: SimplicialComplex, target) -> ExtractionResult:
     """Greedy extraction of an induced subgraph with Cheeger constant >= target.
 
     While the exact Cheeger witness of the current graph has ratio below the
@@ -336,7 +336,7 @@ def extract_expander(graph: SimplicialComplex, target, limit: int = 20) -> Extra
     while True:
         if current.n_vertices <= 1:
             return ExtractionResult(False, current, float("inf"), tuple(removals))
-        cheeger = cheeger_exact(current, limit=limit)
+        cheeger = cheeger_exact(current)
         if cheeger.value >= target:
             return ExtractionResult(True, current, cheeger.value, tuple(removals))
         removals.append((cheeger.witness_set, cheeger.value))

@@ -83,8 +83,9 @@ def test_H_degree_and_dimension_bounds(d, ell):
 
 
 def test_H_explosion_guard():
+    # 136 * 2^15 vertices, past DEFAULT_VERTEX_LIMIT
     with pytest.raises(ConstructionError):
-        build_H_ell(2, 5, max_vertices=1000)
+        build_H_ell(2, 5)
 
 
 def test_D_of_edge_has_five_functions():
@@ -171,9 +172,10 @@ def test_construct_triangle_interference_bound():
     assert cc.measured_k <= 2**tri.degree == 4
 
 
-def test_construct_respects_vertex_limit():
+def test_construct_respects_vertex_limit(monkeypatch):
+    monkeypatch.setattr(horocyclic, "DEFAULT_VERTEX_LIMIT", 10)
     with pytest.raises(ConstructionError):
-        coarse_construct(cycle(12), max_vertices=10)
+        coarse_construct(cycle(12))
 
 
 def test_validation_report_and_negative_control():
