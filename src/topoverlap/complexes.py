@@ -111,11 +111,14 @@ class ComplexStats:
 
 
 def _assemble(vertices, family) -> SimplicialComplex:
-    """Build a complex from an already downward-closed family, asserting the
+    """Build a complex from an already downward-closed family, checking the
     size bound |simplices| <= |vertices| * 2^degree."""
     cx = SimplicialComplex(frozenset(vertices), frozenset(family))
-    if cx.n_vertices:
-        assert cx.simplex_count <= cx.n_vertices * 2 ** cx.degree
+    if cx.n_vertices and cx.simplex_count > cx.n_vertices * 2**cx.degree:
+        raise RuntimeError(
+            f"{cx.simplex_count} simplices exceed |vertices| * 2^degree "
+            f"for {cx.n_vertices} vertices of degree {cx.degree}"
+        )
     return cx
 
 
@@ -145,16 +148,21 @@ def build_complex(maximal_simplices, extra_vertices=()) -> SimplicialComplex:
 
 
 def stats(cx: SimplicialComplex) -> ComplexStats:
-    """Dimension, degree, delta and simplex count, with delta found by
-    exhaustive pairwise intersection of simplices."""
-    simp = list(cx.simplices)
+    """Dimension, degree, delta and simplex count.  The simplices meeting s
+    are the union of the stars of its vertices, so delta costs the sum of
+    the star sizes over each simplex's vertices, not a scan of all pairs."""
+    star: dict = {v: [] for v in cx.vertices}
+    for i, s in enumerate(cx.simplices):
+        for v in s:
+            star[v].append(i)
     delta = 0
-    for s in simp:
-        meeting = sum(1 for t in simp if s & t)
-        delta = max(delta, meeting)
+    for s in cx.simplices:
+        delta = max(delta, len(set().union(*(star[v] for v in s))))
     out = ComplexStats(cx.dimension, cx.degree, delta, cx.simplex_count)
-    assert out.delta <= out.simplex_count
-    assert out.dimension <= max(out.degree, 0)
+    if out.delta > out.simplex_count:
+        raise RuntimeError(f"delta {out.delta} exceeds the simplex count {out.simplex_count}")
+    if out.dimension > max(out.degree, 0):
+        raise RuntimeError(f"dimension {out.dimension} exceeds the degree {out.degree}")
     return out
 
 
@@ -188,11 +196,13 @@ def barycentric_subdivision(cx: SimplicialComplex):
         grow([i])
 
     out = _assemble(range(len(originals)), chains)
-    assert out.dimension == cx.dimension
-    if cx.n_vertices:
-        # neighbors of a chain vertex are its cofaces (at most 2^degree, all
-        # containing one of its vertices) plus its proper faces (< 2^(dim+1))
-        assert out.degree <= 2 ** cx.degree + 2 ** (cx.dimension + 1)
+    if out.dimension != cx.dimension:
+        raise RuntimeError(f"subdivision has dimension {out.dimension}, not {cx.dimension}")
+    # neighbors of a chain vertex are its cofaces (at most 2^degree, all
+    # containing one of its vertices) plus its proper faces (< 2^(dim+1))
+    bound = 2**cx.degree + 2 ** (cx.dimension + 1)
+    if cx.n_vertices and out.degree > bound:
+        raise RuntimeError(f"subdivision degree {out.degree} exceeds 2^degree + 2^(dim+1) = {bound}")
     return out, labels
 
 

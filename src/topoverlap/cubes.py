@@ -104,7 +104,8 @@ def find_translate(cubes: CubeSet, r: int, q: int) -> TranslateResult:
         return sum(1 for m in cubes.roots if cube_in_Y(tuple(x - d for x, d in zip(m, v)), r, q, k))
 
     best_count, best_v = min((count_at(v), v) for v in itertools.product(range(r), repeat=k))
-    assert best_count <= bound
+    if best_count > bound:
+        raise RuntimeError(f"best translate covers {best_count} cubes, more than the bound {bound}")
     return TranslateResult(best_v, best_count, bound)
 
 

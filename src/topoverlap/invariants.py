@@ -55,8 +55,11 @@ DEFAULT_STATE_LIMIT = 1 << 17
 BRUTEFORCE_LIMIT = 9
 SUBSET_SCAN_LIMIT = 20
 
-# numpy pays off for the subset DP only once the state space is large
-_PURE_PYTHON_DP_MAX = 15
+# The pure-Python subset DP is faster up to 9 vertices and numpy from 10 on.
+# Per call on random graphs (p = 0.2 and 0.7) on a shared 2-core Xeon,
+# Python against numpy: 0.56-0.62 ms against 0.72-0.91 ms at n = 9,
+# 1.0-1.3 ms against 0.8-1.2 ms at n = 10, 61-66 ms against 13-14 ms at 15.
+_PURE_PYTHON_DP_MAX = 9
 
 
 @dataclass(frozen=True)
@@ -688,7 +691,8 @@ def to1_bounds(graph: SimplicialComplex) -> To1Bounds:
     lower = arrangement.width
     upper = lower + graph.degree + 1
     realized = sweep_overlap(graph, arrangement)
-    assert lower <= realized <= upper
+    if not lower <= realized <= upper:
+        raise RuntimeError(f"sweep overlap {realized} outside the sandwich [{lower}, {upper}]")
     return To1Bounds(lower, upper, realized)
 
 

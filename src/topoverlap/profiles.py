@@ -361,6 +361,53 @@ def _ceil_log2(x: Fraction) -> int:
     return f if Fraction(2) ** f == x else f + 1
 
 
+def _cmp_log2(y: Fraction, x: Fraction) -> int:
+    """The sign of y - log2(x), exactly, for rationals y and x > 0.
+
+    For y = p/q this is the sign of 2^p - x^q, but x^q is out of reach when
+    q is large (a float epsilon has a denominator near 2^55).  Unless x is a
+    power of two, log2(x) is irrational, so the binary digits of y and of
+    log2(x) differ somewhere; they are compared one by one, those of log2(x)
+    read off by squaring x in fixed point with outward rounding, and the
+    precision doubled whenever the rounding hides a digit.
+    """
+    e = _floor_log2(x)
+    if x == Fraction(2) ** e:
+        return (y > e) - (y < e)
+    if math.floor(y) != e:
+        return 1 if y > e else -1
+    s, w = y - e, x / Fraction(2) ** e  # 0 <= s < 1 and 1 < w < 2
+    bits = 64
+    while True:
+        one = 1 << bits
+        lo = w.numerator * one // w.denominator
+        hi = lo + 1  # lo <= w * one <= hi, throughout for the current w
+        t = s
+        for _ in range(bits):
+            t *= 2
+            lo, hi = lo * lo >> bits, -(-hi * hi >> bits)
+            if lo >= 2 * one:
+                lo, hi = lo >> 1, -(-hi >> 1)
+                digit = 1
+            elif hi < 2 * one:
+                digit = 0
+            else:
+                break
+            if (t >= 1) != digit:
+                return -1 if digit else 1
+            t -= digit
+        bits *= 2
+
+
+def _le_log2(a, b, c, x) -> bool:
+    """Exactly whether a <= b + c * log2(x), for rationals a, b, c and x > 0."""
+    a, b, c, x = map(Fraction, (a, b, c, x))
+    if c == 0:
+        return a <= b
+    sign = _cmp_log2((a - b) / c, x)
+    return sign <= 0 if c > 0 else sign >= 0
+
+
 def verify_expander_chain(
     graph: SimplicialComplex,
     epsilon,
@@ -389,7 +436,8 @@ def verify_expander_chain(
         sep_table = profile(graph, "separation", r)
 
     k = _ceil_log2(Fraction(r))
-    assert 2 ** (k - 1) < r <= 2**k
+    if not 2 ** (k - 1) < r <= 2**k:
+        raise RuntimeError(f"2^{k} is not the least power of two at least {r}")
 
     def sep_at(x: Fraction) -> int:
         return sep_table.value(math.floor(x))
@@ -439,12 +487,16 @@ def verify_expander_chain(
 
     pow_m = Fraction(2) ** m
     row("geometric sum <= 2^m", geo, pow_m, geo <= pow_m)
+    # rows with a log2 show float sides but decide exactly by _le_log2
+    x3 = 3 * delta / epsilon
     log_term = math.log2(3 * delta / float(epsilon))
-    row("count <= log2(3*deg/eps)+2", count, log_term + 2, count <= log_term + 2)
+    row("count <= log2(3*deg/eps)+2", count, log_term + 2, _le_log2(count, 2, 1, x3))
     row("deg*2^m <= (2/3)*eps*r", delta * pow_m, Fraction(2, 3) * epsilon * r, delta * pow_m <= Fraction(2, 3) * epsilon * r)
 
-    combined_rhs = 1 + delta + float(Fraction(2, 3) * epsilon * r) + delta * (2 + log_term) * sep_at(Fraction(r))
-    row("combined eps*r <= chain bound", float(lhs1), combined_rhs, float(lhs1) <= combined_rhs + 1e-9)
+    sep_r = sep_at(Fraction(r))
+    combined_rhs = 1 + delta + float(Fraction(2, 3) * epsilon * r) + delta * (2 + log_term) * sep_r
+    combined_b = 1 + delta + Fraction(2, 3) * epsilon * r + 2 * delta * sep_r
+    row("combined eps*r <= chain bound", float(lhs1), combined_rhs, _le_log2(lhs1, combined_b, delta * sep_r, x3))
 
     hyp_rhs = Fraction(12 * (delta + 1)) / epsilon
     hypothesis_met = Fraction(r) >= hyp_rhs
@@ -462,10 +514,14 @@ def verify_expander_chain(
         quarter = Fraction(1, 4) * epsilon * r
         third = Fraction(1, 3) * epsilon * r - 1 - delta
         row("rearranged eps*r/4 <= eps*r/3-1-deg", quarter, third, quarter <= third)
-        sep_bound = delta * (2 + log_term) * sep_at(Fraction(r))
-        row("rearranged eps*r/3-1-deg <= deg*log*sep(r)", float(third), sep_bound, float(third) <= sep_bound + 1e-9)
+        sep_bound = delta * (2 + log_term) * sep_r
+        ok = _le_log2(third, 2 * delta * sep_r, delta * sep_r, x3)
+        row("rearranged eps*r/3-1-deg <= deg*log*sep(r)", float(third), sep_bound, ok)
+        # for 12*deg/eps < 1 the bound is negative; otherwise multiply out the log
+        x12 = 12 * delta / epsilon
         conclusion = float(epsilon) / (4 * delta * math.log2(12 * delta / float(epsilon))) * r
-        row("conclusion sep(r) >= eps*r/(4*deg*log2(12*deg/eps))", conclusion, sep_at(Fraction(r)), conclusion <= sep_at(Fraction(r)) + 1e-9)
+        ok = x12 < 1 or _le_log2(epsilon * r / (4 * delta), 0, sep_r, x12)
+        row("conclusion sep(r) >= eps*r/(4*deg*log2(12*deg/eps))", conclusion, sep_r, ok)
     else:
         notes.append("size hypothesis not met; conclusion not asserted")
 

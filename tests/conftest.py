@@ -142,6 +142,13 @@ def oracle_cheeger(graph: SimplicialComplex):
     return best
 
 
+def oracle_delta(cx: SimplicialComplex) -> int:
+    """Max over simplices s of the simplices meeting s, by intersecting
+    every pair."""
+    simp = list(cx.simplices)
+    return max((sum(1 for t in simp if s & t) for s in simp), default=0)
+
+
 def oracle_one_move(fn_a, fn_b) -> bool:
     """Two weight functions, given as (simplex, weight) pairs, differ by one
     unit of weight moved from one set to another, and the sets of both

@@ -13,7 +13,7 @@ from topoverlap import (
     stats,
 )
 
-from conftest import cycle, path
+from conftest import cycle, oracle_delta, path, random_complex
 
 
 def test_build_triangle_closure():
@@ -86,10 +86,14 @@ def test_stats_examples():
 @settings(max_examples=30)
 def test_stats_delta_matches_pairwise_enumeration(family):
     cx = build_complex(family)
-    st_ = stats(cx)
-    simp = list(cx.simplices)
-    expected = max(sum(1 for t in simp if s & t) for s in simp)
-    assert st_.delta == expected
+    assert stats(cx).delta == oracle_delta(cx)
+
+
+def test_stats_delta_matches_pair_scan_on_recipe_complexes(rng):
+    for n_max in (8, 32):
+        for _ in range(100):
+            cx = random_complex(rng, n_max=n_max)
+            assert stats(cx).delta == oracle_delta(cx)
 
 
 def test_barycentric_edge_gives_three_vertex_path():

@@ -65,6 +65,17 @@ def test_parse_refuses_oversized_header(tmp_path, capsys):
     assert "HEADER_VERTEX_LIMIT" in capsys.readouterr().err
 
 
+def test_cli_stats_at_the_header_limit(tmp_path, capsys):
+    """`stats` counts delta through vertex stars, so a file of
+    HEADER_VERTEX_LIMIT isolated vertices takes seconds, not a pair scan."""
+    big = tmp_path / "isolated.txt"
+    big.write_text(f"c {HEADER_VERTEX_LIMIT}\n")
+    start = time.perf_counter()
+    assert main(["stats", str(big)]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out.endswith("degree,0\ndelta,1\n")
+
+
 maximal_families = st.lists(
     st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
     min_size=1,

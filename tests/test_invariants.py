@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -181,13 +185,16 @@ def test_search_suppression_cases():
 
 
 def test_numpy_dp_agrees_with_python_dp(rng):
-    for n in (10, 12, 14):
-        g = random_graph(rng, n, 0.35)
-        verts, iedges, adj = _index_graph(g)
-        cut_p, b_p = _suffix_dp_python(n, adj)
-        cut_n, b_n = _suffix_dp_numpy(n, iedges)
-        assert list(map(int, cut_n)) == cut_p
-        assert int(b_n[0]) == b_p[0]
+    # the order rebuild reads cut[t] and b[t] for every prefix set it tries,
+    # so the whole tables must agree on both sides of the switch point
+    for n in range(9, 16):
+        for p in (0.2, 0.7):
+            g = random_graph(rng, n, p)
+            verts, iedges, adj = _index_graph(g)
+            cut_p, b_p = _suffix_dp_python(n, adj)
+            cut_n, b_n = _suffix_dp_numpy(n, iedges)
+            assert list(map(int, cut_n)) == cut_p
+            assert list(map(int, b_n)) == b_p
 
 
 def test_numpy_dp_used_above_threshold(rng):
@@ -301,3 +308,41 @@ def test_subset_scan_guards():
         cheeger_exact(path(21))
     with pytest.raises(SizeLimitError):
         separation_cut(path(21))
+
+
+def test_guarantees_run_under_optimize():
+    """The guarantees of find_translate, to1_bounds, verify_expander_chain and
+    the complex size bound are raises, not asserts, so ``python -O`` keeps
+    them: each is broken on purpose by patching what it relies on."""
+    script = """
+import sys
+from fractions import Fraction
+from topoverlap import CubeSet, build_complex, complexes, cubes, invariants, profiles
+
+def attempt(check):
+    try:
+        check()
+        print("not refused")
+    except RuntimeError as exc:
+        print("refused:", exc)
+
+print("optimize", sys.flags.optimize)
+cubes.cube_in_Y = lambda m, r, q, k: True
+attempt(lambda: cubes.find_translate(CubeSet.of(1, [(0,), (1,)]), 2, 1))
+invariants.sweep_overlap = lambda graph, arrangement: -1
+attempt(lambda: invariants.to1_bounds(build_complex([[0, 1]])))
+profiles._ceil_log2 = lambda x: 0
+attempt(lambda: profiles.verify_expander_chain(build_complex([[0, 1], [1, 2]]), Fraction(1, 2)))
+complexes.SimplicialComplex.degree = property(lambda cx: 0)
+attempt(lambda: build_complex([[0, 1]]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert len(lines) == 5 and all(line.startswith("refused: ") for line in lines[1:]), lines

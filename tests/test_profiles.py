@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from topoverlap.profiles import (
     ProfileEntry,
     ProfileTable,
     _connected_sets,
+    _le_log2,
 )
 
 from conftest import (
@@ -320,3 +322,47 @@ def test_chain_negative_control():
         host, Fraction(1, 3), sep_table=ProfileTable("separation", weakened, sep.host)
     )
     assert not rep.passed()
+
+
+def _oracle_le_log2(a, b, c, x) -> bool:
+    """a <= b + c*log2(x) iff 2^(a-b) <= x^c; over a common denominator D,
+    a - b = A/D and c = C/D, that is 2^A <= x^C."""
+    d = math.lcm((a - b).denominator, c.denominator)
+    return Fraction(2) ** int((a - b) * d) <= Fraction(x) ** int(c * d)
+
+
+def test_le_log2_matches_rational_oracle(rng):
+    powers = [Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(4), Fraction(8), Fraction(9)]
+    for _ in range(3000):
+        a, b, c = (Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3))
+        if rng.random() < 0.5:
+            x = rng.choice(powers)
+        else:
+            x = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        got = _le_log2(a, b, c, x)
+        assert got == _oracle_le_log2(a, b, c, x), (a, b, c, x)
+        margin = float(b) + float(c) * math.log2(x) - float(a)
+        if abs(margin) > 1e-9:
+            assert got == (margin > 0)
+    # near log2(3), where a float could not tell: p/q = q*log2(3) rounded
+    for q in range(1, 1500):
+        for p in (round(q * math.log2(3)) + d for d in (-1, 0, 1)):
+            assert _le_log2(p, 0, q, 3) == _oracle_le_log2(Fraction(p), 0, Fraction(q), 3)
+    # equality holds with no slack, and fails just past it, however large
+    # the denominator
+    assert _le_log2(1, 0, Fraction(1, 3), 8)
+    assert not _le_log2(1 + Fraction(1, 10**12), 0, Fraction(1, 3), 8)
+    assert _le_log2(Fraction(-3, 2), 0, Fraction(1, 2), Fraction(1, 8))
+    assert _le_log2(Fraction(0.1), 0, 1, Fraction(1.1)) == (0.1 <= math.log2(1.1))
+
+
+def test_chain_rows_agree_with_their_displayed_sides():
+    """Past the size hypothesis too: every row decides lhs <= rhs, exactly,
+    so wherever the float sides are far apart they give the same verdict."""
+    cases = [(cycle(6), 6), (cycle(6), 36), (path(8), Fraction(1, 8)), (grid(3, 3), 5), (grid(3, 3), 0.1), (cycle(6), 6.1)]
+    for host, eps in cases:
+        rep = verify_expander_chain(host, eps)
+        assert rep.conclusion_asserted == rep.hypothesis_met
+        for row in rep.rows:
+            if abs(float(row.lhs) - float(row.rhs)) > 1e-6:
+                assert row.passed == (row.lhs <= row.rhs), row.check
