@@ -1,3 +1,4 @@
+import decimal
 import math
 import time
 import tracemalloc
@@ -353,7 +354,19 @@ def test_le_log2_matches_rational_oracle(rng):
     assert _le_log2(1, 0, Fraction(1, 3), 8)
     assert not _le_log2(1 + Fraction(1, 10**12), 0, Fraction(1, 3), 8)
     assert _le_log2(Fraction(-3, 2), 0, Fraction(1, 2), Fraction(1, 8))
-    assert _le_log2(Fraction(0.1), 0, 1, Fraction(1.1)) == (0.1 <= math.log2(1.1))
+    # floats next to log2(x) have denominators near 2^52, far past 2^p <= x^q;
+    # 60 decimal digits of log2(x) tell them apart
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for x in (Fraction(3), Fraction(5), Fraction(7, 3), Fraction(1, 10)):
+            exact = (decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()) / decimal.Decimal(2).ln()
+            y = math.log2(x)
+            for near in (math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf)):
+                assert _le_log2(Fraction(near), 0, 1, x) == (decimal.Decimal(near) <= exact)
+            # the binary digits agree for 100 places, past the first precision
+            below = math.floor(exact * 2**100)
+            assert _le_log2(Fraction(below, 2**100), 0, 1, x)
+            assert not _le_log2(Fraction(below + 1, 2**100), 0, 1, x)
 
 
 def test_chain_rows_agree_with_their_displayed_sides():
