@@ -166,6 +166,33 @@ def stats(cx: SimplicialComplex) -> ComplexStats:
     return out
 
 
+def _clique_levels(nbrs, top: int, keep=None) -> list:
+    """Cliques of at most ``top`` vertices of the graph ``nbrs`` (vertex ->
+    set of neighbours): ``levels[k]`` lists those of k+1 vertices as sorted
+    tuples in lexicographic order, and only non-empty levels are listed.
+
+    A clique grows only by common neighbours above its largest vertex, so
+    each is found once.  ``keep``, if given, decides whether a clique of 3 or
+    more vertices is kept and grown.
+    """
+    above = {v: {u for u in nbrs[v] if u > v} for v in nbrs}
+    levels = []
+    level = [((v,), above[v]) for v in sorted(nbrs)]
+    while level:
+        levels.append([clique for clique, _ in level])
+        if len(levels) >= top:
+            break
+        last = len(levels) + 1 == top  # cliques of the last level never grow
+        grown = []
+        for clique, common in level:
+            for u in sorted(common):
+                bigger = clique + (u,)
+                if keep is None or len(bigger) < 3 or keep(bigger):
+                    grown.append((bigger, None if last else common & above[u]))
+        level = grown
+    return levels
+
+
 def barycentric_subdivision(cx: SimplicialComplex):
     """Complex of strictly increasing chains of simplices.
 
@@ -177,23 +204,16 @@ def barycentric_subdivision(cx: SimplicialComplex):
     ids = {frozenset(s): i for i, s in enumerate(originals)}
     labels = {i: frozenset(s) for i, s in enumerate(originals)}
 
-    # supersets[i] = ids of proper supersets of simplex i, used to extend chains
-    supersets = {
-        i: [ids[t] for t in map(frozenset, originals) if labels[i] < t]
-        for i in labels
-    }
-
-    chains = []
-
-    def grow(chain):
-        chains.append(frozenset(chain))
-        for nxt in supersets[chain[-1]]:
-            chain.append(nxt)
-            grow(chain)
-            chain.pop()
-
-    for i in labels:
-        grow([i])
+    # the chains are the cliques of the comparability relation, which each
+    # simplex gets from its proper faces
+    comparable = {i: set() for i in labels}
+    for i, s in enumerate(originals):
+        for k in range(1, len(s)):
+            for face in itertools.combinations(s, k):
+                j = ids[frozenset(face)]
+                comparable[i].add(j)
+                comparable[j].add(i)
+    chains = (frozenset(c) for level in _clique_levels(comparable, cx.dimension + 1) for c in level)
 
     out = _assemble(range(len(originals)), chains)
     if out.dimension != cx.dimension:

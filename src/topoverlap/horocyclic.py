@@ -27,8 +27,10 @@ from ._util import SizeLimitError
 from .complexes import (
     MalformedComplexError,
     SimplicialComplex,
+    _assemble,
+    _clique_levels,
     barycentric_subdivision,
-    build_complex,
+    build_complex,  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
     induced_subcomplex,
 )
 from .reporting import CheckRow
@@ -120,29 +122,10 @@ def _word_neighbors(w):
                 )
 
 
-def _maximal_cliques(ids, nbrs):
-    """Maximal cliques (including isolated vertices) via Bron-Kerbosch with
-    pivoting; output sorted for determinism."""
-    cliques = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: len(nbrs[u] & p))
-        for v in sorted(p - nbrs[pivot]):
-            expand(r | {v}, p & nbrs[v], x & nbrs[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(frozenset(), frozenset(ids), frozenset())
-    return sorted(cliques)
-
-
 def _flag_complex(words, index, d: int, message: str) -> SimplicialComplex:
     """Flag completion of the rule edges among ``words`` (``index`` maps each
-    word tuple to its id): the maximal cliques become the simplices.  A
-    clique of more than d+1 vertices raises ``ConstructionError(message)``."""
+    word tuple to its id): the cliques become the simplices.  A clique of
+    more than d+1 vertices raises ``ConstructionError(message)``."""
     nbrs = {i: set() for i in range(len(words))}
     for i, w in enumerate(words):
         for nb in _word_neighbors(w):
@@ -150,10 +133,10 @@ def _flag_complex(words, index, d: int, message: str) -> SimplicialComplex:
             if j is not None:
                 nbrs[i].add(j)
                 nbrs[j].add(i)
-    cliques = _maximal_cliques(range(len(words)), nbrs)
-    if any(len(c) > d + 1 for c in cliques):
+    levels = _clique_levels(nbrs, d + 2)
+    if len(levels) > d + 1:
         raise ConstructionError(message)
-    return build_complex(cliques, extra_vertices=range(len(words)))
+    return _assemble(range(len(words)), (frozenset(c) for level in levels for c in level))
 
 
 @dataclass(frozen=True)
@@ -264,24 +247,21 @@ def build_D_ell(
     # is exactly a label whose join with the support chain is a simplex
     sets = tuple(labels.values())
     cache: dict = {}
-    top_of = [frozenset(fn[-1][0]) for fn in functions]  # canonical order puts the largest set last
-    provenance = {frozenset((i,)): top_of[i] for i in range(len(functions))}
-    edges = set()
+    nbrs = {i: set() for i in range(len(functions))}
     for i, fn in enumerate(functions):
         for neighbor in _one_move_neighbors(fn, sets, cache):
-            edges.add(frozenset((i, index[neighbor])))
-    for e in edges:
-        a, b = e
-        provenance[e] = max(top_of[a], top_of[b], key=len)
+            j = index[neighbor]
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    levels = _lattice_cliques(functions, nbrs, d + 2 if with_higher else 2)
+    if with_higher and len(levels) > d + 1:
+        raise ConstructionError("refinement exceeded the source dimension")
+    top_of = [frozenset(fn[-1][0]) for fn in functions]  # canonical order puts the largest set last
+    provenance = {
+        frozenset(s): max((top_of[i] for i in s), key=len) for level in levels for s in level
+    }
 
-    simplices = [frozenset((i,)) for i in range(len(functions))] + list(edges)
-    if with_higher:
-        higher = _lattice_cliques(functions, edges, 3, d + 1, strict_cap=True)
-        for simplex in higher:
-            provenance[frozenset(simplex)] = max((top_of[i] for i in simplex), key=len)
-        simplices += [frozenset(s) for s in higher]
-
-    cx = SimplicialComplex(frozenset(range(len(functions))), frozenset(simplices))
+    cx = SimplicialComplex(frozenset(range(len(functions))), frozenset(provenance))
     original = set(map(frozenset, labels.values()))
     deg_counts: dict = {}
     for s in original:
@@ -339,14 +319,10 @@ def _check_dimension_witness(chains, labels, index, total, d, cache):
             raise ConstructionError("corner cells of a longest chain are not one move apart")
 
 
-def _lattice_cliques(functions, edges, size_min, size_max, strict_cap=False):
-    """Cliques of the refinement edge relation whose supports join into a
-    chain, for sizes in [size_min, size_max]."""
-    nbrs = {i: set() for i in range(len(functions))}
-    for e in edges:
-        a, b = e
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+def _lattice_cliques(functions, nbrs, top: int) -> list:
+    """Cliques of at most ``top`` vertices of the refinement edge relation
+    ``nbrs`` whose supports join into a chain, by size as in
+    ``_clique_levels``."""
 
     def join_is_chain(ids):
         union = set()
@@ -354,28 +330,7 @@ def _lattice_cliques(functions, edges, size_min, size_max, strict_cap=False):
             union.update(frozenset(s) for s, _ in functions[i])
         return _support_is_chain(union)
 
-    out = []
-    current = sorted(tuple(sorted(e)) for e in edges)
-    size = 2
-    while size < size_max:
-        nxt = []
-        for simplex in current:
-            common = set.intersection(*(nbrs[i] for i in simplex))
-            for extra in sorted(c for c in common if c > simplex[-1]):
-                cand = simplex + (extra,)
-                if join_is_chain(cand):
-                    nxt.append(cand)
-        size += 1
-        if size >= size_min:
-            out.extend(nxt)
-        current = nxt
-    if strict_cap and current:
-        for simplex in current:
-            common = set.intersection(*(nbrs[i] for i in simplex))
-            for extra in (c for c in common if c > simplex[-1]):
-                if join_is_chain(simplex + (extra,)):
-                    raise ConstructionError("refinement exceeded the source dimension")
-    return out
+    return _clique_levels(nbrs, top, keep=join_is_chain)
 
 
 def map_s(fn, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
@@ -584,9 +539,14 @@ def _cliques_with_prov(cc: CoarseConstruction, size: int):
         return out
     if cc.kind == "lattice":
         tops = [frozenset(fn[-1][0]) for fn in cc.functions]
-        cliques = _lattice_cliques(cc.functions, [frozenset(e) for e in cc.sub_edges], size, size)
+        nbrs = {i: set() for i in range(len(cc.functions))}
+        for i, j in cc.sub_edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        levels = _lattice_cliques(cc.functions, nbrs, size)
+        cliques = levels[size - 1] if len(levels) == size else []
         return [
-            (tuple(sorted(c)), frozenset((max((tops[i] for i in c), key=len),)))
+            (c, frozenset((max((tops[i] for i in c), key=len),)))
             for c in cliques
         ]
     raise ConstructionError(

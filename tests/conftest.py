@@ -149,6 +149,40 @@ def oracle_delta(cx: SimplicialComplex) -> int:
     return max((sum(1 for t in simp if s & t) for s in simp), default=0)
 
 
+def oracle_cliques(nbrs: dict, top: int, keep=None) -> list:
+    """levels[k] = the (k+1)-vertex cliques of the graph ``nbrs`` in
+    lexicographic order, for at most ``top`` vertices, by testing every
+    vertex subset for pairwise adjacency; ``keep`` (closed under taking
+    subsets) must also accept a clique of 3 or more vertices.  Stops at the
+    first empty level."""
+    levels = []
+    for size in range(1, top + 1):
+        level = [
+            c
+            for c in itertools.combinations(sorted(nbrs), size)
+            if all(v in nbrs[u] for u, v in itertools.combinations(c, 2))
+            and (keep is None or size < 3 or keep(c))
+        ]
+        if not level:
+            break
+        levels.append(level)
+    return levels
+
+
+def oracle_chains(cx: SimplicialComplex) -> set:
+    """Every strictly increasing chain of simplices of ``cx``, as a
+    frozenset of simplices, by testing every family of at most dim+1
+    simplices."""
+    simplices = list(cx.simplices)
+    out = set()
+    for k in range(1, cx.dimension + 2):
+        for family in itertools.combinations(simplices, k):
+            ordered = sorted(family, key=len)
+            if all(a < b for a, b in zip(ordered, ordered[1:])):
+                out.add(frozenset(family))
+    return out
+
+
 def oracle_one_move(fn_a, fn_b) -> bool:
     """Two weight functions, given as (simplex, weight) pairs, differ by one
     unit of weight moved from one set to another, and the sets of both

@@ -13,7 +13,9 @@ from topoverlap import (
     stats,
 )
 
-from conftest import cycle, oracle_delta, path, random_complex
+from topoverlap.complexes import _clique_levels
+
+from conftest import cycle, oracle_chains, oracle_cliques, oracle_delta, path, random_complex
 
 
 def test_build_triangle_closure():
@@ -127,6 +129,41 @@ def test_barycentric_vertex_fixed_point():
     cx, _ = barycentric_subdivision(build_complex([[0]]))
     assert cx.n_vertices == 1
     assert cx.simplex_count == 1
+
+
+def test_clique_levels_match_brute_force(rng):
+    for _ in range(120):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.2, 0.5, 0.8))
+        nbrs = {v: set() for v in range(n)}
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        bound = rng.randint(0, 3 * n)
+
+        def keep(clique):
+            return sum(clique) <= bound
+
+        for top in range(1, n + 2):
+            assert _clique_levels(nbrs, top) == oracle_cliques(nbrs, top)
+            assert _clique_levels(nbrs, top, keep) == oracle_cliques(nbrs, top, keep)
+        # the caps of the flag complexes: a level at `top` exists exactly
+        # when the graph has a clique (passing keep) of `top` vertices
+        for top in range(1, n + 2):
+            has = any(len(c) == top for level in oracle_cliques(nbrs, n + 1, keep) for c in level)
+            assert (len(_clique_levels(nbrs, top, keep)) == top) == has
+
+
+def test_barycentric_matches_chain_oracle(rng):
+    for _ in range(40):
+        cx = random_complex(rng, n_max=8, deg_max=4)
+        sub, labels = barycentric_subdivision(cx)
+        assert [tuple(sorted(labels[i])) for i in sorted(labels)] == cx.sorted_simplices()
+        assert sub.vertices == frozenset(labels)
+        chains = {frozenset(labels[i] for i in s) for s in sub.simplices}
+        assert len(chains) == sub.simplex_count
+        assert chains == oracle_chains(cx)
 
 
 @given(maximal_families)

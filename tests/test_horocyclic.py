@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,31 @@ def test_H_explosion_guard():
     # 136 * 2^15 vertices, past DEFAULT_VERTEX_LIMIT
     with pytest.raises(ConstructionError):
         build_H_ell(2, 5)
+
+
+def test_H_1_6_builds_in_seconds():
+    # 53 248 vertices: Bron-Kerbosch took 37 s here, the clique levels 2 s
+    start = time.perf_counter()
+    h = build_H_ell(1, 6)
+    assert time.perf_counter() - start < 10
+    assert h.complex.n_vertices == 53248
+    assert h.complex.dimension == 1
+
+
+def test_flag_completion_refuses_cliques_past_d_plus_one():
+    h = build_H_ell(2, 1)
+    assert h.complex.dimension == 2
+    index = {w: i for i, w in enumerate(h.words)}
+    with pytest.raises(ConstructionError, match="the caller's message"):
+        horocyclic._flag_complex(h.words, index, 1, "the caller's message")
+    assert horocyclic._flag_complex(h.words, index, 2, "unused") == h.complex
+
+
+def test_D_higher_cliques_refuse_past_the_source_dimension():
+    bary, labels = barycentric_subdivision(build_complex([[0, 1, 2]]))
+    with pytest.raises(ConstructionError, match="exceeded the source dimension"):
+        build_D_ell(bary, labels, 1, 1, with_higher=True)
+    assert build_D_ell(bary, labels, 1, 2, with_higher=True).complex.dimension == 2
 
 
 def test_D_of_edge_has_five_functions():
