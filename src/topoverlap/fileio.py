@@ -105,7 +105,10 @@ def parse_cubes(text: str):
         if k is None:
             if len(parts) != 2:
                 raise ParseError(no, "first line must be `k r`")
-            k, r = int(parts[0]), int(parts[1])
+            try:
+                k, r = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(no, f"bad `k r` header {line!r}") from None
             if k < 1 or r < 2:
                 raise ParseError(no, "need k >= 1 and r >= 2")
         else:
@@ -156,21 +159,29 @@ def emit_csv(payload) -> str:
 
 
 def parse_profile_csv(text: str, invariant_name: str) -> ProfileTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "r,value,mode,witness":
-        raise ParseError(1, "expected header `r,value,mode,witness`")
+    """Profile table CSV as :func:`emit_csv` writes it: the header, then one
+    row for each r = 0, 1, ..., r_max, in that order."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "r,value,mode,witness":
+        raise ParseError(lines[0][0] if lines else 1, "expected header `r,value,mode,witness`")
     entries = {}
-    for no, line in enumerate(lines[1:], start=2):
+    for no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(no, "expected 4 columns")
         r, value, mode, witness = parts
         if mode not in ("exact", "lower_bound"):
             raise ParseError(no, f"unknown mode {mode!r}")
-        wit = tuple(int(v) for v in witness.split()) if witness else ()
-        entries[int(r)] = ProfileEntry(int(value), wit, mode)
+        try:
+            r, value = int(r), int(value)
+            wit = tuple(int(v) for v in witness.split())
+        except ValueError:
+            raise ParseError(no, f"bad integer in {line!r}") from None
+        if r != len(entries):
+            raise ParseError(no, f"row r={r} where r={len(entries)} is due: rows list r = 0, 1, ... once each")
+        entries[r] = ProfileEntry(value, wit, mode)
     if not entries:
-        raise ParseError(2, "table has no rows")
+        raise ParseError(lines[0][0] + 1, "table has no rows")
     return ProfileTable(invariant_name, entries, None)
 
 

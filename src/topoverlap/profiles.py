@@ -502,10 +502,12 @@ def verify_expander_chain(
     hypothesis_met = Fraction(r) >= hyp_rhs
     hypothesis = CheckRow("size-hypothesis r >= 12(deg+1)/eps", r, hyp_rhs, hypothesis_met)
 
+    # the float sides below show inf where they divide by log2(1) = 0
+    log12 = math.log2(12 * delta / float(epsilon))
     notes = [
         "extraction-size constants differ between statement and derivation: "
-        f"eps/(8*log2(12*deg/eps)) = {float(epsilon) / (8 * math.log2(12 * delta / float(epsilon))):.6g} "
-        f"vs eps/(8*deg*log2(12*deg/eps)) = {float(epsilon) / (8 * delta * math.log2(12 * delta / float(epsilon))):.6g}; "
+        f"eps/(8*log2(12*deg/eps)) = {float(epsilon) / (8 * log12) if log12 else math.inf:.6g} "
+        f"vs eps/(8*deg*log2(12*deg/eps)) = {float(epsilon) / (8 * delta * log12) if log12 else math.inf:.6g}; "
         "the weaker derived constant is the one used here",
     ]
     conclusion_asserted = False
@@ -519,7 +521,7 @@ def verify_expander_chain(
         row("rearranged eps*r/3-1-deg <= deg*log*sep(r)", float(third), sep_bound, ok)
         # for 12*deg/eps < 1 the bound is negative; otherwise multiply out the log
         x12 = 12 * delta / epsilon
-        conclusion = float(epsilon) / (4 * delta * math.log2(12 * delta / float(epsilon))) * r
+        conclusion = float(epsilon) / (4 * delta * log12) * r if log12 else math.inf
         ok = x12 < 1 or _le_log2(epsilon * r / (4 * delta), 0, sep_r, x12)
         row("conclusion sep(r) >= eps*r/(4*deg*log2(12*deg/eps))", conclusion, sep_r, ok)
     else:

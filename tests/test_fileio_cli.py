@@ -121,6 +121,33 @@ def test_profile_csv_round_trip():
     assert emit_csv(back) == text
 
 
+@pytest.mark.parametrize(
+    "rows,line_no",
+    [
+        (["0,0,exact,", "4,3,exact,0 1 2 3"], 3),  # a gap in r
+        (["0,0,exact,", "1,0,exact,0", "1,0,exact,0"], 4),  # a duplicate row
+        (["-1,0,exact,", "0,0,exact,"], 2),  # a negative r
+        (["1,0,exact,0", "0,0,exact,"], 2),  # out of order
+        (["0,0,exact,", "", "x,0,exact,"], 4),  # not an integer, after a blank line
+    ],
+)
+def test_profile_csv_lists_each_r_once_in_order(rows, line_no):
+    text = "\n".join(["r,value,mode,witness", *rows]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_profile_csv(text, "cutwidth")
+    assert err.value.line_no == line_no
+
+
+def test_cli_verify_cwsep_refuses_a_gap_in_r(tmp_path, capsys):
+    cw = tmp_path / "cw.csv"
+    sep = tmp_path / "sep.csv"
+    cw.write_text("r,value,mode,witness\n0,0,exact,\n4,3,exact,0 1 2 3\n")
+    sep.write_text("r,value,mode,witness\n0,0,exact,\n4,1,exact,1\n")
+    assert main(["verify", "cwsep", str(cw), str(sep), "--delta", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 3: ")
+
+
 def test_emit_csv_reports():
     rows = [CheckRow("a", 1, 2, True), CheckRow("b", 0.5, 1, False)]
     assert emit_csv(rows) == "check,lhs,rhs,pass\na,1,2,true\nb,0.5,1,false\n"
@@ -224,6 +251,20 @@ def test_cli_translate(tmp_path, capsys):
     assert main(["translate", "--cubes", str(cubes), "--q", "1"]) == 0
     out = capsys.readouterr().out
     assert "count,3" in out and "bound,4" in out
+
+
+def test_cli_translate_refuses_a_large_header_at_once(tmp_path, capsys):
+    cubes = tmp_path / "cubes.txt"
+    for header in ("30 2", f"{10**18} 2", "2 33"):
+        cubes.write_text(header + "\n")
+        start = time.perf_counter()
+        assert main(["translate", "--cubes", str(cubes), "--q", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and "TRANSLATE_LIMIT=1024" in err
+    cubes.write_text("2 x\n")
+    assert main(["translate", "--cubes", str(cubes), "--q", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
 def test_cli_entry_point_runs():

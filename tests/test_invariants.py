@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -346,3 +347,18 @@ attempt(lambda: build_complex([[0, 1]]))
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert len(lines) == 5 and all(line.startswith("refused: ") for line in lines[1:]), lines
+
+
+def test_src_has_no_assert_statements():
+    """Certification checks must survive ``python -O``, which strips every
+    ``assert``; so no module of the package may use one."""
+    src = Path(__file__).resolve().parents[1] / "src" / "topoverlap"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    found = [
+        f"{module.name}:{node.lineno}"
+        for module in modules
+        for node in ast.walk(ast.parse(module.read_text(), str(module)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

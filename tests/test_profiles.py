@@ -325,6 +325,22 @@ def test_chain_negative_control():
     assert not rep.passed()
 
 
+@pytest.mark.parametrize("host", [cycle(6), path(5)], ids=["C6", "P5"])
+def test_chain_at_epsilon_twelve_degree_shows_inf(host):
+    # epsilon = 12 * degree puts log2(12 * deg / eps) = log2(1) = 0 in a
+    # denominator of the displayed sides; the verdicts stay exact
+    eps = 12 * host.degree
+    rep = verify_expander_chain(host, eps)
+    assert rep.conclusion_asserted
+    assert any("= inf vs" in n for n in rep.notes)
+    r = host.n_vertices
+    conclusion = rep.rows[-1]
+    assert conclusion.check.startswith("conclusion") and conclusion.lhs == math.inf
+    sep_r = profile(host, "separation", r).value(r)
+    assert conclusion.rhs == sep_r
+    assert conclusion.passed == _le_log2(Fraction(eps * r, 4 * host.degree), 0, sep_r, 1)
+
+
 def _oracle_le_log2(a, b, c, x) -> bool:
     """a <= b + c*log2(x) iff 2^(a-b) <= x^c; over a common denominator D,
     a - b = A/D and c = C/D, that is 2^A <= x^C."""
