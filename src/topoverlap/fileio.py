@@ -56,7 +56,7 @@ def parse_complex(text: str) -> SimplicialComplex:
         if parts[0] == "c":
             if n_vertices is not None:
                 raise ParseError(no, "duplicate header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():  # isdigit() passes "²"
                 raise ParseError(no, "header must be `c <n_vertices>`")
             n_vertices = int(parts[1])
             if n_vertices > HEADER_VERTEX_LIMIT:

@@ -50,6 +50,7 @@ PARSERS = [
 @settings(max_examples=300, deadline=None)
 @example(GAP_IN_R)
 @example(LARGE_CUBE_HEADER)
+@example("c \u00b2\n")  # a digit that int() does not read
 def test_parsers_return_or_raise_parse_error(text):
     for parse in PARSERS:
         try:
