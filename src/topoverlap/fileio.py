@@ -178,7 +178,9 @@ def parse_profile_csv(text: str, invariant_name: str) -> ProfileTable:
         except ValueError:
             raise ParseError(no, f"bad integer in {line!r}") from None
         if r != len(entries):
-            raise ParseError(no, f"row r={r} where r={len(entries)} is due: rows list r = 0, 1, ... once each")
+            raise ParseError(
+                no, f"row r={r} where r={len(entries)} is due: rows list r = 0, 1, ... once each"
+            )
         entries[r] = ProfileEntry(value, wit, mode)
     if not entries:
         raise ParseError(lines[0][0] + 1, "table has no rows")
