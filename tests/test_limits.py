@@ -60,8 +60,8 @@ CASES = [
     ),
     (profiles, "PROFILE_SET_LIMIT", lambda: profile(path(4), "cutwidth", 4), 10, SizeLimitError),
     (profiles, "PROFILE_RMAX_LIMIT", lambda: profile(path(3), "cutwidth", 7), 7, SizeLimitError),
-    (cubes, "TRANSLATE_LIMIT", lambda: find_translate(CubeSet.of(2, [(0, 0)]), 4, 1), 16, SizeLimitError),
     (fileio, "HEADER_VERTEX_LIMIT", lambda: fileio.parse_complex("c 7\ns 0 1\n"), 7, ParseError),
+    (cubes, "TRANSLATE_LIMIT", lambda: find_translate(CubeSet.of(2, [(0, 0)]), 4, 1), 16, SizeLimitError),
 ]
 
 
