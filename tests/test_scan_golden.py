@@ -23,7 +23,7 @@ GOLDEN = {
     "cheeger-random": "2bb9eefcfef9517bed05188cdf46cef477bafabedb883692fed270fbdcdacd12",
     "separation-random": "74381df494ce37163f36941697cb2cad080ae209b340dd19429f60c4a8528f2c",
     "cheeger-named": "b5e7c723e42086bae044622c9db57015e5e751f6d4fcc5312380860a7fd12094",
-    "separation-named": "d61cf6351ee2a00ef36581b9c70d12acbeab5e7c1ab0d2d722a98a101bb942b6",
+    "separation-named": "aa2e45ca5cfd29edd4e89f9c2ae0676b80b4aa48cdf4d99a33fe363bd1a6d1b1",
     "extract": "0bcafebb5942cb54fe86193c98f3bbd7532480da04f0ca5ee31e443dfe7239f2",
     "separation-profiles": "7f9c3fa6e5e0c36eedc319f0bc64f0c711d5786d6c38b4b430390f79a7722aab",
 }
@@ -41,8 +41,8 @@ def random_graphs():
     return [gapped_graph(rng, n, p) for n in range(21) for p in (0.25, 0.5)]
 
 
-def named_graphs(clique_max: int):
-    graphs = [clique(n) for n in range(2, clique_max + 1)]
+def named_graphs():
+    graphs = [clique(n) for n in range(2, 21)]
     graphs += [cycle(n) for n in range(3, 21)]
     graphs += [grid(r, c) for r in range(2, 5) for c in range(r, 20 // r + 1)]
     return graphs
@@ -86,8 +86,8 @@ def scan_texts() -> dict:
     return {
         "cheeger-random": cheeger_text(graphs),
         "separation-random": separation_text(graphs),
-        "cheeger-named": cheeger_text(named_graphs(20)),
-        "separation-named": separation_text(named_graphs(16)),
+        "cheeger-named": cheeger_text(named_graphs()),
+        "separation-named": separation_text(named_graphs()),
         "extract": extract_text(),
         "separation-profiles": profiles_text(),
     }
