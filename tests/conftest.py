@@ -105,8 +105,10 @@ def oracle_sweep(graph: SimplicialComplex, order) -> int:
     return best
 
 
-def oracle_separation(graph: SimplicialComplex) -> int:
-    """Smallest balanced separator by scanning all vertex subsets."""
+def oracle_separation(graph: SimplicialComplex) -> tuple:
+    """The lexicographically smallest minimum balanced separator and the
+    order of the largest component it leaves, by scanning vertex subsets by
+    size in ``itertools.combinations`` order."""
     verts, edges = as_graph(graph)
     n = len(verts)
     for size in range(n + 1):
@@ -115,12 +117,14 @@ def oracle_separation(graph: SimplicialComplex) -> int:
             comps = _components([v for v in verts if v not in removed],
                                 [(u, v) for u, v in edges if u not in removed and v not in removed])
             if all(len(c) <= n / 2 for c in comps):
-                return size
+                return cand, max((len(c) for c in comps), default=0)
     raise AssertionError
 
 
 def oracle_cheeger(graph: SimplicialComplex):
-    """Exact vertex expansion by scanning all subsets of size <= n/2."""
+    """Exact vertex expansion and its lexicographically smallest minimiser,
+    as ``(value, witness)``, by scanning all subsets of size <= n/2; None
+    when n <= 1."""
     from fractions import Fraction
 
     verts, edges = as_graph(graph)
@@ -131,15 +135,15 @@ def oracle_cheeger(graph: SimplicialComplex):
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    best = None
+    best = witness = None
     for size in range(1, n // 2 + 1):
         for cand in itertools.combinations(verts, size):
             a = set(cand)
             boundary = set().union(*(adj[v] for v in a)) - a
             val = Fraction(len(boundary), len(a))
-            if best is None or val < best:
-                best = val
-    return best
+            if best is None or val < best or (val == best and cand < witness):
+                best, witness = val, cand
+    return best, witness
 
 
 def oracle_delta(cx: SimplicialComplex) -> int:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -273,7 +274,8 @@ def test_separation_witness_is_lex_smallest_minimum():
 @given(graphs)
 @settings(max_examples=30, deadline=None)
 def test_separation_matches_oracle(g):
-    assert len(separation_cut(g).separator) == oracle_separation(g)
+    w = separation_cut(g)
+    assert (w.separator, w.max_component) == oracle_separation(g)
 
 
 def test_cheeger_named_values():
@@ -293,7 +295,7 @@ def test_cheeger_matches_oracle(g):
     if expected is None:
         assert got.is_infinite
     else:
-        assert got.value == expected
+        assert (got.value, got.witness_set) == expected
         # witness reproduces the value exactly
         a = set(got.witness_set)
         adj = {v: set() for v in g.vertices}
@@ -302,6 +304,58 @@ def test_cheeger_matches_oracle(g):
             adj[v].add(u)
         boundary = set().union(*(adj[v] for v in a)) - a if a else set()
         assert Fraction(len(boundary), len(a)) == got.value
+
+
+def seeded_scan_graphs():
+    """Graphs of up to 14 vertices with gapped labels, made of one to three
+    random components and up to two more isolated vertices."""
+    rng = random.Random(1111)
+    out = []
+    for _ in range(120):
+        labels = iter(sorted(rng.sample(range(40), 14)))
+        edges, vertices = [], []
+        for _ in range(rng.randint(1, 3)):
+            comp = [next(labels) for _ in range(rng.randint(1, 4))]
+            p = rng.choice([0.3, 0.6, 1.0])
+            edges += [[u, v] for i, u in enumerate(comp) for v in comp[i + 1:] if rng.random() < p]
+            vertices += comp
+        vertices += [next(labels) for _ in range(rng.randint(0, 2))]
+        out.append(build_complex(edges, extra_vertices=vertices))
+    return out
+
+
+def test_scan_witnesses_match_oracles_on_seeded_graphs():
+    for g in seeded_scan_graphs():
+        sep = separation_cut(g)
+        assert (sep.separator, sep.max_component) == oracle_separation(g)
+        h = cheeger_exact(g)
+        expected = oracle_cheeger(g)
+        if expected is None:
+            assert h.is_infinite
+        else:
+            assert (h.value, h.witness_set) == expected
+
+
+def test_cheeger_scan_cost_at_the_limit():
+    g = random_graph(random.Random(20), 20, 0.25)
+    start = time.perf_counter()
+    cheeger_exact(g)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        cheeger_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_separator_scan_cost_on_K20():
+    """K20's separator has 10 vertices, found after 431 911 candidates."""
+    start = time.perf_counter()
+    w = separation_cut(clique(20))
+    assert time.perf_counter() - start < 5.0
+    assert (w.separator, w.max_component) == (tuple(range(10)), 10)
 
 
 def test_subset_scan_guards():
