@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from ._util import SizeLimitError
@@ -75,6 +76,21 @@ def _vertex_limit_error(count: int) -> VertexLimitError:
     return VertexLimitError(
         f"would create {count} vertices, more than DEFAULT_VERTEX_LIMIT={DEFAULT_VERTEX_LIMIT}"
     )
+
+
+def _lattice_vertex_count(z: SimplicialComplex, total: int) -> int:
+    """The number of weight functions of total weight ``total`` that
+    ``build_D_ell`` makes on the barycentric subdivision of z, counted from
+    z's faces alone.  A chain of j simplices topped by a simplex s is an
+    ordered partition of s into j blocks, and there are
+    j!·S(|s|, j) = sum_i (-1)^i C(j, i) (j - i)^|s| of those; each chain
+    carries C(total - 1, j - 1) weight functions."""
+    count = 0
+    for m, times in Counter(len(s) for s in z.simplices).items():
+        for j in range(1, m + 1):
+            partitions = sum((-1) ** i * math.comb(j, i) * (j - i) ** m for i in range(j + 1))
+            count += times * partitions * math.comb(total - 1, j - 1)
+    return count
 
 
 def binary_code(k: int, i: int, ell: int, d: int) -> str:
@@ -427,6 +443,11 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
     d = z.dimension
     ell = max(1, (n - 1).bit_length())
 
+    # refused before subdividing: one 9-vertex simplex already has about
+    # 14M chains
+    count = _lattice_vertex_count(z, (d + 1) * ell)
+    if count > DEFAULT_VERTEX_LIMIT:
+        raise _vertex_limit_error(count)
     bary, labels = barycentric_subdivision(z)
     lattice = build_D_ell(bary, labels, ell, d)
 

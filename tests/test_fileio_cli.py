@@ -233,6 +233,18 @@ def test_cli_refuses_oversized_inputs(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and limit in err
 
 
+def test_cli_refuses_a_large_simplex_before_subdividing(tmp_path, capsys):
+    """One 9-vertex simplex has about 14M chains; its lattice count is
+    refused before any of them is built."""
+    simplex = _write_complex(tmp_path, "simplex9.txt", build_complex([list(range(9))]))
+    start = time.perf_counter()
+    assert main(["horocyclic", "construct", simplex]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "DEFAULT_VERTEX_LIMIT" in err
+
+
 def test_profile_reduces_to_one_skeleton():
     from topoverlap import profile as profile_op
     from topoverlap import skeleton as skeleton_op

@@ -89,6 +89,18 @@ def test_H_explosion_guard():
         build_H_ell(2, 5)
 
 
+def test_lattice_count_from_faces_matches_the_subdivision():
+    """coarse_construct's count before subdividing equals build_D_ell's
+    count over the chains of the subdivision."""
+    rng = random.Random(909)
+    for _ in range(40):
+        z = random_complex(rng, n_max=8, deg_max=6)
+        bary, _ = barycentric_subdivision(z)
+        for total in (1, 2, 3, 4, 9):
+            expected = sum(math.comb(total - 1, len(c) - 1) for c in bary.simplices)
+            assert horocyclic._lattice_vertex_count(z, total) == expected
+
+
 def test_H_1_6_builds_in_seconds():
     # 53 248 vertices, far under DEFAULT_VERTEX_LIMIT; about 2 s on a
     # shared 2-core machine
