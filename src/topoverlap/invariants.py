@@ -48,7 +48,7 @@ __all__ = [
 # prefix set expanded or looked up.  The slowest graphs tried within both
 # limits took about 6 s and 25 MB there to be refused.  Brute force tries
 # n! orders.  The Cheeger scan fills one numpy table over all 2^n vertex
-# sets: 32 ms and 13 MB at n = 20 there.  The separator scan tests
+# sets: about 15 ms and 12 MB at n = 20 there.  The separator scan tests
 # candidates by increasing size until the first balanced one, so its cost
 # grows with the separator's size rather than with 2^n: K20, whose
 # separator has 10 vertices, takes 431 911 candidates and about 0.4 s.
@@ -796,19 +796,16 @@ def cheeger_exact(graph: SimplicialComplex) -> CheegerWitness:
     masks = np.arange(1 << n, dtype=np.uint32)
     near &= ~masks
     boundary = np.bitwise_count(near)
-    del near
     sizes = np.bitwise_count(masks)
-    del masks
     least = np.full(n + 1, n, dtype=np.uint8)
     np.minimum.at(least, sizes, boundary)
     least = least.tolist()
     value = min(Fraction(least[s], s) for s in range(1, n // 2 + 1))
     # a minimiser of size s has boundary value * s, so only the sizes where
     # that is the least boundary hold one
-    best = None
-    for s in range(1, n // 2 + 1):
-        if value * s == least[s]:
-            cand = _lex_first(np.flatnonzero((sizes == s) & (boundary == least[s])), n)
-            if best is None or cand < best:
-                best = cand
+    best = min(
+        _lex_first(np.flatnonzero((sizes == s) & (boundary == least[s])), n)
+        for s in range(1, n // 2 + 1)
+        if value * s == least[s]
+    )
     return CheegerWitness(value, tuple(verts[v] for v in best))
