@@ -44,6 +44,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimplicialComplex:
     return build_complex(edges, extra_vertices=range(n))
 
 
+def gapped_graph(rng: random.Random, n: int, p: float) -> SimplicialComplex:
+    """G(n, p) on n sorted labels drawn from 0..3n, so that labels skip."""
+    labels = sorted(rng.sample(range(3 * n + 1), n))
+    edges = [[labels[u], labels[v]] for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return build_complex(edges, extra_vertices=labels)
+
+
 def random_complex(rng: random.Random, n_max=32, deg_max=6) -> SimplicialComplex:
     """Random complex of dimension <= 2 with bounded edge-degree: sampled
     edges respecting the degree cap, then a random subset of the triangles

@@ -496,17 +496,83 @@ GOLDEN_CONSTRUCTIONS = [
 ]
 
 
-def test_constructions_match_golden_hashes():
+@functools.cache
+def _golden_constructions() -> tuple:
+    """(complex, construction) for the first 20 distinct complexes of the
+    criterion-4 recipe with n <= 8 drawn from Random(404)."""
     rng = random.Random(404)
     seen = set()
-    digests = []
-    while len(digests) < len(GOLDEN_CONSTRUCTIONS):
+    out = []
+    while len(out) < 20:
         cx = random_complex(rng, n_max=8, deg_max=6)
         if cx.simplices in seen:
             continue
         seen.add(cx.simplices)
-        cc = coarse_construct(cx)
+        out.append((cx, coarse_construct(cx)))
+    return tuple(out)
+
+
+def test_constructions_match_golden_hashes():
+    digests = []
+    for cx, cc in _golden_constructions():
         text = write_manifest(cc)
         rows = validate_construction(cc, 2**cx.degree, cc.volume) + revalidate_manifest(text)
         digests.append(hashlib.sha256((text + emit_csv(rows)).encode()).hexdigest())
     assert digests == GOLDEN_CONSTRUCTIONS
+
+
+def _record_text(cc) -> str:
+    provsets = sorted((sorted(key), sorted(map(sorted, prov))) for key, prov in cc.provsets.items())
+    target = sorted(map(sorted, cc.target.simplices))
+    return repr((cc.sub_edges, cc.vertex_map, provsets, target, cc.measured_k, cc.volume))
+
+
+# SHA-256 of the whole records behind the manifests above: for each complex z
+# and its construction cc, the subdivision edges, vertex map, provenance
+# antichains, target simplices, measured_k and volume of cc, of
+# compose(identity, cc) and of compose(cc, identity on cc's target); the last
+# traces carriers through the lattice's simplices above its edges.  Then the
+# words and simplices of two word-model pieces.  Recorded before the
+# refinement and word-model edges were generated from one end each.
+GOLDEN_RECORDS = [
+    "e047a98b09fb7e1aae840f5bb235bdd48d33e415bf702d31db5395239b816ca5",  # n=2 dim=1 N=5
+    "bbbcbb26af296451157680cee9cf0def112e4325799e40fe27d3e79fa6730775",  # n=1 dim=0 N=1
+    "cff14a270448236009f1e38f027c9b3ff3014574223986f6316cfb6d073edddf",  # n=3 dim=0 N=3
+    "4bbe700f6f6733582085a99d14aa2f29f4233ae7bc782faff3f8645246831826",  # n=8 dim=2 N=5390
+    "d6633f20d9d87db45bd4ebfb5b87e037a7427bd2ea55e90b720c14940ce7c119",  # n=5 dim=1 N=27
+    "5f5c4455b4f0cf04c2c282fa2a21d37d3d9bed46f0053948e4305d1356eb8457",  # n=7 dim=1 N=51
+    "9d3f0d433fb41519d1f341970f43c3c8b27921a2ec812fec5b297d0254f0583b",  # n=7 dim=1 N=18
+    "5bfd5ba532dc5b6a203c3a24d4c0ee390e5a6b265d966106a040fa6d4fb993c1",  # n=7 dim=1 N=40
+    "1e687b2265eaad1ee7821eed157e53916c3a61276a81f0e6f4d7683184849eb9",  # n=4 dim=2 N=252
+    "e22533492a8bd24bb80bac3bfd8f4aabe113d772a357d2f7722b95089549da3d",  # n=8 dim=2 N=880
+    "634f64fe474d43e394ac395605e1ce0655d6af32fc4b7ccfbb9f32cff7ca1c21",  # n=6 dim=2 N=3733
+    "bfb0a262b0989cbe80e143ab2cf5e3d1d5f1d6ac13b2c8315a87f4d1e17e88fd",  # n=4 dim=2 N=434
+    "2075d66273dc73a77c28b5a6d68634847619737b3f03303270d7b933ee0f2df9",  # n=3 dim=2 N=127
+    "c81c567b6828f9a41f2850a6efe02abbb916159d51e4b653775f98de36cf1efc",  # n=7 dim=2 N=1798
+    "446bedd9c43462f075f16137f517c7e460cacad1153a958e3dcebefe54ba3b98",  # n=8 dim=1 N=107
+    "2226a5e21169e15531ea7a21f0d06b359308ccd2632fce97fafdc3ab47e0f383",  # n=5 dim=0 N=5
+    "9f91eb6814a4a14f737935d2b16ac4a186466eefd9e8b5d62f758938cfd539de",  # n=6 dim=2 N=342
+    "73ae2fab5ca6e3f65c0abee062a8b3f869b9d74d1053b041eab68f4bcb7d4b66",  # n=6 dim=2 N=593
+    "f8a3c90e0f08ed6774458ad6b9c12ed728538f7facaf366cdc58efa01aa2fd4b",  # n=6 dim=1 N=50
+    "6ab486d0a157e2c12346ec4d90bfe1221175f3ccbb800dccd97b0a3abb5f4c78",  # n=7 dim=2 N=1764
+]
+GOLDEN_H = {
+    (1, 3): "ca6de7085fe9e0210c56851bc0daec4ddcdc6170ef0699c9501762dddf2bab9d",
+    (2, 2): "3cab40b09e1a09d5d4f5d0917ee4251a5d498168cd20201954b490b59a8106a6",
+}
+
+
+def test_construction_records_match_golden_digests():
+    digests = []
+    for z, cc in _golden_constructions():
+        texts = (
+            _record_text(cc),
+            _record_text(compose(identity_construction(z), cc)),
+            _record_text(compose(cc, identity_construction(cc.target))),
+        )
+        digests.append(hashlib.sha256("\n".join(texts).encode()).hexdigest())
+    assert digests == GOLDEN_RECORDS
+    for d, ell in GOLDEN_H:
+        h = build_H_ell(d, ell)
+        text = repr((h.words, sorted(map(sorted, h.complex.simplices))))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_H[d, ell]

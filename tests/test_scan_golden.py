@@ -14,10 +14,10 @@ from __future__ import annotations
 import hashlib
 import random
 
-from topoverlap import build_complex, cheeger_exact, extract_expander, profile, separation_cut
+from topoverlap import cheeger_exact, extract_expander, profile, separation_cut
 from topoverlap.fileio import emit_csv
 
-from conftest import clique, cycle, grid, hypercube, path
+from conftest import clique, cycle, gapped_graph, grid, hypercube, path
 
 GOLDEN = {
     "cheeger-random": "2bb9eefcfef9517bed05188cdf46cef477bafabedb883692fed270fbdcdacd12",
@@ -27,13 +27,6 @@ GOLDEN = {
     "extract": "0bcafebb5942cb54fe86193c98f3bbd7532480da04f0ca5ee31e443dfe7239f2",
     "separation-profiles": "7f9c3fa6e5e0c36eedc319f0bc64f0c711d5786d6c38b4b430390f79a7722aab",
 }
-
-
-def gapped_graph(rng: random.Random, n: int, p: float):
-    """G(n, p) on n sorted labels drawn from 0..3n, so that labels skip."""
-    labels = sorted(rng.sample(range(3 * n + 1), n))
-    edges = [[labels[u], labels[v]] for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return build_complex(edges, extra_vertices=labels)
 
 
 def random_graphs():
