@@ -123,14 +123,14 @@ def words_adjacent(a, b) -> bool:
 
 
 def _word_neighbors(w):
-    """Rule neighbors of a word tuple: shrink one coordinate, grow another."""
+    """Rule neighbors of a word tuple that shrink one coordinate and grow a
+    later one.  Seen from its other end a rule edge grows the earlier
+    coordinate, so each rule edge comes from exactly one of its ends."""
     arity = len(w)
     for j in range(arity):
         if not w[j]:
             continue
-        for k in range(arity):
-            if k == j:
-                continue
+        for k in range(j + 1, arity):
             for bit in "01":
                 yield tuple(
                     w[t][:-1] if t == j else (w[t] + bit if t == k else w[t])
@@ -208,9 +208,8 @@ class DLatticeComplex:
 
     Vertices are the admissible weight functions (``functions[i]`` is the
     canonical form of vertex i); ``complex`` holds them with the refinement's
-    1-simplices (plus higher simplices when built with ``with_higher``).
-    ``provenance`` maps each stored simplex to the top of its support chain:
-    the smallest original simplex carrying it.
+    1-simplices.  ``provenance`` maps each stored simplex to the top of its
+    support chain: the smallest original simplex carrying it.
     """
 
     d: int
@@ -220,22 +219,14 @@ class DLatticeComplex:
     provenance: dict
 
 
-def build_D_ell(
-    bary: SimplicialComplex,
-    labels: dict,
-    ell: int,
-    d: int,
-    with_higher: bool = False,
-) -> DLatticeComplex:
+def build_D_ell(bary: SimplicialComplex, labels: dict, ell: int, d: int) -> DLatticeComplex:
     """All admissible weight functions on the chains of ``bary`` and their
     increment/decrement 1-simplices.
 
     ``labels`` identifies each barycentric vertex with its original simplex.
     A vertex is a function with chain support and total weight (d+1)*ell; an
     edge moves one unit of weight between two sets whose join with the
-    support is still a chain.  With ``with_higher`` the k-simplices (cliques
-    of the edge relation whose supports join into a chain, k <= d) are
-    enumerated as well.
+    support is still a chain.
     """
     total = (d + 1) * ell
     chains = sorted(bary.simplices, key=lambda c: (len(c), sorted(c)))
@@ -248,10 +239,11 @@ def build_D_ell(
         sets = sorted((labels[m] for m in chain), key=len)
         if not _support_is_chain(sets):
             raise ConstructionError(f"barycentric simplex {sorted(chain)} is not a chain")
+        # the sets of a chain differ in size, so the order by size is canonical
+        keys = [tuple(sorted(s)) for s in sets]
         for cut in itertools.combinations(range(1, total), len(sets) - 1):
             bounds = (0, *cut, total)
-            weights = [bounds[t + 1] - bounds[t] for t in range(len(sets))]
-            functions.append(_canonical_function(zip(sets, weights)))
+            functions.append(tuple(zip(keys, (b - a for a, b in zip(bounds, bounds[1:])))))
     functions.sort()
     index = {f: i for i, f in enumerate(functions)}
     if not len(index) == len(functions) == expected:
@@ -263,19 +255,13 @@ def build_D_ell(
     # is exactly a label whose join with the support chain is a simplex
     sets = tuple(labels.values())
     cache: dict = {}
-    nbrs = {i: set() for i in range(len(functions))}
+    top_of = [frozenset(fn[-1][0]) for fn in functions]  # canonical order puts the largest set last
+    provenance = {frozenset((i,)): top for i, top in enumerate(top_of)}
     for i, fn in enumerate(functions):
         for neighbor in _one_move_neighbors(fn, sets, cache):
+            # a move up never shrinks the top, so the upper end's top is the larger
             j = index[neighbor]
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    levels = _lattice_cliques(functions, nbrs, d + 2 if with_higher else 2)
-    if with_higher and len(levels) > d + 1:
-        raise ConstructionError("refinement exceeded the source dimension")
-    top_of = [frozenset(fn[-1][0]) for fn in functions]  # canonical order puts the largest set last
-    provenance = {
-        frozenset(s): max((top_of[i] for i in s), key=len) for level in levels for s in level
-    }
+            provenance[frozenset((i, j))] = top_of[j]
 
     cx = SimplicialComplex(frozenset(range(len(functions))), frozenset(provenance))
     original = set(map(frozenset, labels.values()))
@@ -296,24 +282,32 @@ def build_D_ell(
 
 
 def _one_move_neighbors(fn, sets, cache: dict):
-    """Weight functions one move from ``fn``, whose support must be a chain:
-    one unit of weight leaves a support set for another set of ``sets`` that
-    is comparable with every support set, so the support stays a chain.
-    ``cache`` keeps those target sets per support."""
+    """Weight functions one move up from ``fn``, a canonical function with
+    chain support: one unit of weight leaves a support set for a larger set
+    of ``sets`` comparable with every support set, so the support stays a
+    chain.  Comparable sets differ in size, so each refinement edge is one
+    move up from its lower end, and each neighbour is ``fn`` spliced at the
+    two sets' positions by size.  ``cache`` keeps the target sets per
+    support, each with its size, its position by size and whether it is a
+    support set."""
     support = tuple(s for s, _ in fn)
     targets = cache.get(support)
     if targets is None:
         chain = [frozenset(s) for s in support]
-        targets = tuple(tuple(sorted(t)) for t in sets if all(t <= s or s <= t for s in chain))
-        cache[support] = targets
-    for dec, _cnt in fn:
-        for inc in targets:
-            if inc == dec:
+        targets = cache[support] = [
+            (len(t), sum(len(s) < len(t) for s in chain), t in chain, tuple(sorted(t)))
+            for t in sets
+            if all(t <= s or s <= t for s in chain)
+        ]
+    for p, (dec, cnt) in enumerate(fn):
+        head = fn[:p] + ((dec, cnt - 1),) if cnt > 1 else fn[:p]
+        for size, q, present, inc in targets:
+            if size <= len(dec):
                 continue
-            moved = dict(fn)
-            moved[dec] -= 1
-            moved[inc] = moved.get(inc, 0) + 1
-            yield _canonical_function((s, c) for s, c in moved.items() if c > 0)
+            if present:
+                yield head + fn[p + 1 : q] + ((inc, fn[q][1] + 1),) + fn[q + 1 :]
+            else:
+                yield head + fn[p + 1 : q] + ((inc, 1),) + fn[q:]
 
 
 def _check_dimension_witness(chains, labels, index, total, d, cache):
@@ -452,7 +446,7 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
     lattice = build_D_ell(bary, labels, ell, d)
 
     words = [map_s(fn, ell, d, relabel) for fn in lattice.functions]
-    sub_edges = tuple(sorted(tuple(sorted(e)) for e in lattice.complex.simplices if len(e) == 2))
+    sub_edges = lattice.complex.edges
     for i, j in sub_edges:
         if words[i] != words[j] and not words_adjacent(words[i], words[j]):
             raise ConstructionError(f"coding map is not simplicial on refinement edge {i}-{j}")
@@ -710,7 +704,8 @@ def revalidate_manifest(text: str) -> list:
     # map_s accepted every function, so each support is a chain.  A key reads
     # each support set as a vertex set (`0-0` is `0`), as the one-move
     # relation does; a manifest may repeat a function, so each key keeps the
-    # list of its lines, and each pair of lines is counted once (j > i).
+    # list of its lines.  Each pair of lines one move apart is one move up
+    # from exactly one of them, so it is counted once.
     keys = [_canonical_function((frozenset(s), c) for s, c in fn) for fn in functions]
     lines_of: dict = {}
     for i, key in enumerate(keys):
@@ -721,9 +716,8 @@ def revalidate_manifest(text: str) -> list:
     for i, key in enumerate(keys):
         for neighbor in _one_move_neighbors(key, sets, cache):
             for j in lines_of.get(neighbor, ()):
-                if j > i and recomputed[i] != recomputed[j]:
-                    if not words_adjacent(recomputed[i], recomputed[j]):
-                        bad_edges += 1
+                if recomputed[i] != recomputed[j] and not words_adjacent(recomputed[i], recomputed[j]):
+                    bad_edges += 1
     rows.append(CheckRow("simplicial on rebuilt edges", bad_edges, 0, bad_edges == 0))
 
     vol = len(set(recomputed))

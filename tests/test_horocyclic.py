@@ -120,16 +120,9 @@ def test_flag_completion_refuses_cliques_past_d_plus_one():
     assert horocyclic._flag_complex(h.words, index, 2, "unused") == h.complex
 
 
-def test_D_higher_cliques_refuse_past_the_source_dimension():
-    bary, labels = barycentric_subdivision(build_complex([[0, 1, 2]]))
-    with pytest.raises(ConstructionError, match="exceeded the source dimension"):
-        build_D_ell(bary, labels, 1, 1, with_higher=True)
-    assert build_D_ell(bary, labels, 1, 2, with_higher=True).complex.dimension == 2
-
-
 def test_D_of_edge_has_five_functions():
     bary, labels = barycentric_subdivision(build_complex([[0, 1]]))
-    lattice = build_D_ell(bary, labels, 1, 1, with_higher=True)
+    lattice = build_D_ell(bary, labels, 1, 1)
     expected = {
         (((0,), 2),),
         (((1,), 2),),
@@ -166,9 +159,18 @@ def test_D_supports_have_distinct_cardinalities():
 
 
 def test_D_dimension_matches_source():
+    """The refinement of a triangle at d = 2 reaches triangles: cliques of
+    its edges whose supports join into a chain, as ``compose`` builds them.
+    It has no such clique of 4."""
     bary, labels = barycentric_subdivision(build_complex([[0, 1, 2]]))
-    lattice = build_D_ell(bary, labels, 1, 2, with_higher=True)
-    assert lattice.complex.dimension == 2
+    lattice = build_D_ell(bary, labels, 1, 2)
+    nbrs = {i: set() for i in range(len(lattice.functions))}
+    for i, j in lattice.complex.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    levels = horocyclic._lattice_cliques(lattice.functions, nbrs, 4)
+    assert len(levels) == 3
+    assert levels[2]
 
 
 def test_map_s_examples():
