@@ -658,7 +658,10 @@ def parse_manifest(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("h "):
         raise MalformedComplexError("manifest must start with a header line")
-    d, ell, n, k, volume = map(int, lines[0].split()[1:6])
+    try:
+        d, ell, n, k, volume = map(int, lines[0].split()[1:])
+    except ValueError:
+        raise MalformedComplexError(f"malformed manifest header: {lines[0]!r}") from None
     functions = []
     words = []
     for ln in lines[1:]:
@@ -668,7 +671,10 @@ def parse_manifest(text: str):
         pairs = []
         for part in body.split():
             simplex, _, cnt = part.partition(":")
-            pairs.append((tuple(int(v) for v in simplex.split("-")), int(cnt)))
+            try:
+                pairs.append((tuple(int(v) for v in simplex.split("-")), int(cnt)))
+            except ValueError:
+                raise MalformedComplexError(f"malformed manifest line: {ln!r}") from None
         functions.append(_canonical_function(pairs))
         words.append(tuple(word.split(",")))
     return d, ell, n, k, volume, tuple(functions), tuple(words)
@@ -677,36 +683,35 @@ def parse_manifest(text: str):
 def revalidate_manifest(text: str) -> list:
     """Re-derive everything checkable from a manifest alone.
 
-    Recomputes each word from its weight function, rebuilds the refinement
-    edges from the one-move relation, and replays the admissibility,
+    A line is admissible when its vertices are below n and the coding map
+    accepts its weight function.  Counts the lines that are not, then
+    recomputes each admissible line's word, rebuilds the refinement edges
+    among those lines from the one-move relation, and replays the
     simpliciality and volume checks against the header claims.
     """
     d, ell, n, k_claim, vol_claim, functions, words = parse_manifest(text)
-    total = (d + 1) * ell
     rows = []
 
-    bad_fn = sum(
-        1
-        for fn in functions
-        if not (
-            _support_is_chain([frozenset(s) for s, _ in fn])
-            and all(c >= 1 for _, c in fn)
-            and sum(c for _, c in fn) == total
-            and all(0 <= v < n for s, _ in fn for v in s)
-        )
-    )
+    admitted = []  # (function, recorded word, recomputed word) of each admissible line
+    for fn, word in zip(functions, words):
+        if all(0 <= v < n for s, _ in fn for v in s):
+            try:
+                admitted.append((fn, word, map_s(fn, ell, d)))
+            except (MalformedComplexError, EncodingError):
+                pass
+    bad_fn = len(functions) - len(admitted)
     rows.append(CheckRow("functions admissible", bad_fn, 0, bad_fn == 0))
 
-    recomputed = [map_s(fn, ell, d) for fn in functions]
-    mismatches = sum(1 for a, b in zip(recomputed, words) if a != b)
+    recomputed = [mapped for _, _, mapped in admitted]
+    mismatches = sum(1 for _, word, mapped in admitted if word != mapped)
     rows.append(CheckRow("words match coding map", mismatches, 0, mismatches == 0))
 
-    # map_s accepted every function, so each support is a chain.  A key reads
-    # each support set as a vertex set (`0-0` is `0`), as the one-move
-    # relation does; a manifest may repeat a function, so each key keeps the
-    # list of its lines.  Each pair of lines one move apart is one move up
-    # from exactly one of them, so it is counted once.
-    keys = [_canonical_function((frozenset(s), c) for s, c in fn) for fn in functions]
+    # map_s accepted every admitted function, so its support is a chain.  A
+    # key reads each support set as a vertex set (`0-0` is `0`), as the
+    # one-move relation does; a manifest may repeat a function, so each key
+    # keeps the list of its lines.  Each pair of lines one move apart is one
+    # move up from exactly one of them, so it is counted once.
+    keys = [_canonical_function((frozenset(s), c) for s, c in fn) for fn, _, _ in admitted]
     lines_of: dict = {}
     for i, key in enumerate(keys):
         lines_of.setdefault(key, []).append(i)

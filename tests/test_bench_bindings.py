@@ -28,7 +28,8 @@ def _load_tracing():
 
 def test_tracer_installs_and_restores_every_binding():
     tracing = _load_tracing()
-    sites = [site for table in (tracing.SPANS, tracing.LEAVES) for sites in table.values() for site in sites]
+    tables = (tracing.SPANS, tracing.LEAVES)
+    sites = [site for table in tables for sites in table.values() for site in sites]
     sites += list(tracing.POOLS)
     before = {(m, a): getattr(getattr(topoverlap, m), a, None) for m, a in sites}
     tracer = tracing.Tracer(topoverlap)

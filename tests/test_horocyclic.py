@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -578,3 +579,45 @@ def test_construction_records_match_golden_digests():
         h = build_H_ell(d, ell)
         text = repr((h.words, sorted(map(sorted, h.complex.simplices))))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_H[d, ell]
+
+
+def test_revalidation_reports_inadmissible_lines():
+    """A line whose function the coding map refuses, or whose vertices are
+    not below n, fails the admissibility row; the other rows are computed
+    over the admissible lines alone, so they read as for the clean manifest."""
+    text = write_manifest(coarse_construct(path(3)))
+    clean = revalidate_manifest(text)
+    assert all_passed(clean)
+    bad_lines = ("f 0:91 0-1:3 -> 0,0", "f 0:2 1:2 -> 00,", "f 0:1 0-1-2:3 -> 0,000", "f 3:4 -> 1111,")
+    for line in bad_lines:
+        rows = revalidate_manifest(text + line + "\n")
+        assert rows[0] == CheckRow("functions admissible", 1, 0, False), line
+        assert rows[1:] == clean[1:], line
+    # vertex 2 is below n = 3 but does not fit the header's ell = 1 bit
+    assert revalidate_manifest("h 1 1 3 1 1\nf 0:2 -> 00,\nf 2:2 -> 11,\n") == [
+        CheckRow("functions admissible", 1, 0, False),
+        CheckRow("words match coding map", 0, 0, True),
+        CheckRow("simplicial on rebuilt edges", 0, 0, True),
+        CheckRow("volume matches header", 1, 1, True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "h 1 2",
+        "h 1 x 3 3 15",
+        "h 1 2 3 3 15 7",
+        "f 0:x -> 0000,",
+        "f a:4 -> 0000,",
+        "f 0-:4 -> 0000,",
+    ],
+)
+def test_parse_manifest_quotes_a_malformed_line(line):
+    text = write_manifest(coarse_construct(path(3)))
+    if line.startswith("h "):
+        text = line + "\n" + text.split("\n", 1)[1]
+    else:
+        text += line + "\n"
+    with pytest.raises(MalformedComplexError, match=re.escape(repr(line))):
+        parse_manifest(text)

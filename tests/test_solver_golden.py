@@ -55,7 +55,8 @@ def named_graphs():
 def search_graphs():
     graphs = [cycle(n) for n in range(25, 41)]
     graphs += [path(n) for n in range(25, 41)]
-    return graphs + [grid(r, c) for r, c in ((2, 13), (3, 9), (3, 10), (4, 7), (5, 5), (5, 6), (6, 6))]
+    shapes = ((2, 13), (3, 9), (3, 10), (4, 7), (5, 5), (5, 6), (6, 6))
+    return graphs + [grid(r, c) for r, c in shapes]
 
 
 def criterion_9_images():
