@@ -159,19 +159,30 @@ def test_D_supports_have_distinct_cardinalities():
         assert len(set(cards)) == len(cards)
 
 
-def test_D_dimension_matches_source():
-    """The refinement of a triangle at d = 2 reaches triangles: cliques of
-    its edges whose supports join into a chain, as ``compose`` builds them.
-    It has no such clique of 4."""
+def _triangle_lattice_levels(d: int, top: int) -> list:
+    """Cliques of at most ``top`` vertices of the triangle's refinement at
+    ell = 1, found from its edges as ``compose`` finds them."""
     bary, labels = barycentric_subdivision(build_complex([[0, 1, 2]]))
-    lattice = build_D_ell(bary, labels, 1, 2)
+    lattice = build_D_ell(bary, labels, 1, d)
     nbrs = {i: set() for i in range(len(lattice.functions))}
     for i, j in lattice.complex.edges:
         nbrs[i].add(j)
         nbrs[j].add(i)
-    levels = horocyclic._lattice_cliques(lattice.functions, nbrs, 4)
-    assert len(levels) == 3
-    assert levels[2]
+    return horocyclic._lattice_cliques(lattice.functions, nbrs, top)
+
+
+def test_D_higher_cliques_refuse_past_the_source_dimension():
+    """However many vertices are asked for, the triangle's refinement has no
+    clique whose supports join into a chain past the source dimension 2."""
+    for d in (1, 2, 3):
+        levels = _triangle_lattice_levels(d, 5)
+        assert len(levels) == 3
+
+
+def test_D_dimension_matches_source():
+    """The refinement of a triangle at d = 2 reaches triangles."""
+    levels = _triangle_lattice_levels(2, 3)
+    assert len(levels) == 3 and levels[2]
 
 
 def test_map_s_examples():
