@@ -6,7 +6,8 @@ before both were rewritten on bit sets.  They pin values and the
 lexicographically smallest witnesses byte for byte: Cheeger witnesses and
 separators on seeded graphs of 0 to 20 vertices with gapped labels, on
 cliques, cycles and grids, the removal histories of ``extract_expander``,
-and separation-profile CSVs.
+and separation-profile CSVs (the larger ones of the 4x4 and 8x8 grids
+recorded later, with the bit-set scans).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ GOLDEN = {
     "separation-named": "aa2e45ca5cfd29edd4e89f9c2ae0676b80b4aa48cdf4d99a33fe363bd1a6d1b1",
     "extract": "0bcafebb5942cb54fe86193c98f3bbd7532480da04f0ca5ee31e443dfe7239f2",
     "separation-profiles": "7f9c3fa6e5e0c36eedc319f0bc64f0c711d5786d6c38b4b430390f79a7722aab",
+    "separation-profiles-large": "649a19f6898d877b9e949a7b5bcc0846243bcf0d12c067bbd888b7bddccb048b",
 }
 
 
@@ -74,6 +76,13 @@ def profiles_text() -> str:
     return "".join(emit_csv(profile(h, "separation", h.n_vertices)) for h in hosts)
 
 
+def large_profiles_text() -> str:
+    """The 4x4 grid to r = 16 and the 8x8 grid to r = 7 (31 385 connected
+    sets), recorded before profiles skipped sets that cannot raise a row."""
+    tables = (profile(grid(4, 4), "separation", 16), profile(grid(8, 8), "separation", 7))
+    return "".join(emit_csv(t) for t in tables)
+
+
 def scan_texts() -> dict:
     graphs = random_graphs()
     return {
@@ -83,6 +92,7 @@ def scan_texts() -> dict:
         "separation-named": separation_text(named_graphs()),
         "extract": extract_text(),
         "separation-profiles": profiles_text(),
+        "separation-profiles-large": large_profiles_text(),
     }
 
 

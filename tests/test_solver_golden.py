@@ -7,7 +7,8 @@ prefix-set search past them, and with the shift-by-shift loop of
 witnesses byte for byte, so that a new engine must return the same orders:
 seeded graphs of 0 to 20 vertices with gapped labels, cliques, cycles,
 paths and grids on both sides of the DP limit, the images of the
-criterion-9 recipe, cutwidth-profile CSVs, and the best translates of the
+criterion-9 recipe, cutwidth-profile CSVs (the larger ones of the 4x4
+and 8x8 grids recorded later, with the same engines), and the best translates of the
 `solve` benchmark's cube-set shapes.
 
 Graphs of 21 to 24 vertices are left out: the DP takes up to 13 s and
@@ -30,6 +31,7 @@ GOLDEN = {
     "cutwidth-search": "da1a31e6bf08544eeebd2ec4d2fcb1eb94761493af6b44ec26ead1984c12bdf0",
     "cutwidth-images": "fbbe85e8f1eda927b65724d8d61c4e75b7b837a1fb54f8fb3172cb2574a82c53",
     "cutwidth-profiles": "caac458a5172cf00dbfeef32272795dd8cfe4d89cbbfe6293b34eba7ee98b78c",
+    "cutwidth-profiles-large": "5d08f0235a8261b38799d6edad68e2490ea97e076afd946d0b59323f560c2f65",
     "translate": "bd7864e9bf8167f30d1d716098a49fef39f6985c9b4fd9f1d10dc256381d22f1",
 }
 
@@ -84,6 +86,13 @@ def profiles_text() -> str:
     return "".join(emit_csv(profile(h, "cutwidth", h.n_vertices)) for h in hosts)
 
 
+def large_profiles_text() -> str:
+    """The 4x4 grid to r = 16 and the 8x8 grid to r = 7 (31 385 connected
+    sets), recorded before profiles skipped sets that cannot raise a row."""
+    tables = (profile(grid(4, 4), "cutwidth", 16), profile(grid(8, 8), "cutwidth", 7))
+    return "".join(emit_csv(t) for t in tables)
+
+
 def translate_text() -> str:
     rng = random.Random(1111)
     lines = []
@@ -101,6 +110,7 @@ def solver_texts() -> dict:
         "cutwidth-search": cutwidth_text(search_graphs()),
         "cutwidth-images": cutwidth_text(criterion_9_images()),
         "cutwidth-profiles": profiles_text(),
+        "cutwidth-profiles-large": large_profiles_text(),
         "translate": translate_text(),
     }
 
