@@ -11,6 +11,7 @@ and the line-by-line verification of the expander-to-separator chain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,15 +144,17 @@ def _set_limit_error(r_max: int) -> SizeLimitError:
 def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
     """Connected vertex sets of 1..r_max vertices of a graph, by size.
 
-    ``by_size[k]`` holds each set of k vertices as a sorted tuple, paired
-    with the subgraph induced on its root's ball, in lexicographic order of
-    the sets.  ESU (Wernicke, 2006) finds each set once, grown from its
-    least vertex, the root, by adjacent vertices above the root; these all
-    lie in the root's ball, the vertices reached from the root in fewer
-    than r_max steps through vertices above it.  A set's subgraph is later
-    cut from its ball rather than from the host, so scoring it costs the
-    same on a large host.  Refuses as soon as the count passes
-    PROFILE_SET_LIMIT.
+    ``by_size[k]`` holds each set of k vertices as ``(subset, mask, ball)``
+    in lexicographic order of the sets: ``subset`` is the sorted tuple of
+    its vertices, ``mask`` has bit i set for each member at index i of its
+    root's ball, and ``ball`` is ``(adj, ball_cx)``, the ball's adjacency
+    bit masks and the subgraph it induces.  ESU (Wernicke, 2006) finds each
+    set once, grown from its least vertex, the root, by adjacent vertices
+    above the root; these all lie in the root's ball, the vertices reached
+    from the root in fewer than r_max steps through vertices above it.  A
+    set's edges and subgraph are later cut from its ball rather than from
+    the host, so scoring it costs the same on a large host.  Refuses as
+    soon as the count passes PROFILE_SET_LIMIT.
     """
     verts, edges = as_graph(host)
     n = len(verts)
@@ -188,23 +191,67 @@ def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
             [[verts[x], verts[y]] for x in ball for y in nbrs[x] if x < y and y in local],
             extra_vertices=ids,
         )
-        # (members, their closed neighbourhood, extension) in ball indices
-        stack = [((0,), adj[0] | 1, adj[0])]
+        shared = (adj, ball_cx)
+        # (members, their mask, their closed neighbourhood, extension) in
+        # ball indices
+        stack = [((0,), 1, adj[0] | 1, adj[0])]
         while stack:
-            members, near, ext = stack.pop()
+            members, mask, near, ext = stack.pop()
             count += 1
             if count > PROFILE_SET_LIMIT:
                 raise _set_limit_error(r_max)
-            by_size[len(members)].append((tuple(ids[i] for i in sorted(members)), ball_cx))
+            by_size[len(members)].append((tuple(ids[i] for i in sorted(members)), mask, shared))
             if len(members) < top:
                 while ext:
                     low = ext & -ext
                     ext ^= low
                     w = low.bit_length() - 1
-                    stack.append((members + (w,), near | adj[w], ext | (adj[w] & ~near)))
+                    stack.append((members + (w,), mask | low, near | adj[w], ext | (adj[w] & ~near)))
     for bucket in by_size:
         bucket.sort(key=lambda item: item[0])
     return by_size
+
+
+def _relabelled_edges(mask: int, adj) -> tuple:
+    """Edges among the bits of ``mask``, each as (i, j) with i < j the
+    ranks of its ends in the set's sorted order, in sorted order.
+
+    Two sets with the same size and the same relabelled edges are
+    isomorphic, so every invariant takes the same value on both.
+    """
+    edges = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = (mask & (low - 1)).bit_count()
+        up = adj[low.bit_length() - 1] & rest
+        while up:
+            high = up & -up
+            up ^= high
+            edges.append((i, (mask & (high - 1)).bit_count()))
+    return tuple(edges)
+
+
+def _value_bound(invariant: str, k: int, edges) -> int:
+    """An upper bound on the invariant of a connected graph on ranks
+    0..k-1 with these edges, in O(k + m) for its m edges.
+
+    Cutwidth is at most the width of any order, here the identity order.
+    A balanced separator needs at most ceil(k/2) vertices, since removing
+    that many leaves at most k/2.  It also needs at most m - k + 2: while
+    the graph has a cycle, removing a vertex on one lowers its cycle rank
+    m - k + (components) by at least 1, so m - k + 1 removals leave a
+    forest, and removing a centroid of its one tree of more than k/2
+    vertices, if any, balances it.  On a tree that bound is 1.
+    """
+    if invariant == "cutwidth":
+        steps = [0] * (k + 1)
+        for i, j in edges:
+            steps[i] += 1
+            steps[j] -= 1
+        return max(itertools.accumulate(steps))
+    return min((k + 1) // 2, len(edges) - k + 2)
 
 
 def profile(
@@ -216,12 +263,19 @@ def profile(
 ) -> ProfileTable:
     """Profile table of an invariant over induced subgraphs of ``host``.
 
-    Exact mode scores every connected vertex set of at most r_max vertices,
+    Exact mode walks every connected vertex set of at most r_max vertices,
     enumerated by ESU, and refuses a host with more than PROFILE_SET_LIMIT
     of them.  Disconnected sets are never scored, because both invariants
     reach their maximum on a connected induced subgraph of no larger order.
     Each row's witness is the first maximiser in (size, lexicographic)
-    order.  Candidates mode evaluates only the supplied vertex sets and tags
+    order, so a set changes the table only if its value beats the best so
+    far.  A set whose upper bound (``_value_bound``, from its edges cut
+    from its ball's bit masks) is at most that best is skipped unsolved.
+    The rest are keyed by size and edges relabelled to ranks in sorted
+    order; equal keys are isomorphic sets, so a key met before reuses its
+    value, and only a new key builds the set's subgraph and calls the
+    solver.  Values and witnesses are those of solving every set.
+    Candidates mode evaluates only the supplied vertex sets and tags
     all entries as lower bounds.  Hosts of higher dimension are reduced to
     their 1-skeleton first; both invariants only see vertices and edges.
     Either mode refuses r_max past PROFILE_RMAX_LIMIT.
@@ -257,9 +311,16 @@ def profile(
     by_size = _connected_sets(host, r_max)
     entries = {0: ProfileEntry(0, (), "exact")}
     best, witness = 0, ()
+    solved = {}  # (k, relabelled edges) -> value, for the sets solved so far
     for r in range(1, r_max + 1):
-        for subset, ball_cx in by_size[r] if r < len(by_size) else ():
-            val = _invariant_value(induced_subcomplex(ball_cx, subset), invariant)
+        for subset, mask, (adj, ball_cx) in by_size[r] if r < len(by_size) else ():
+            edges = _relabelled_edges(mask, adj)
+            if _value_bound(invariant, r, edges) <= best:
+                continue
+            key = (r, edges)
+            val = solved.get(key)
+            if val is None:
+                val = solved[key] = _invariant_value(induced_subcomplex(ball_cx, subset), invariant)
             if val > best:
                 best, witness = val, subset
         entries[r] = ProfileEntry(best, witness, "exact")

@@ -1,5 +1,7 @@
+import collections
 import decimal
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +36,7 @@ from conftest import (
     all_subgraph_values,
     clique,
     cycle,
+    gapped_graph,
     grid,
     oracle_profile,
     path,
@@ -150,6 +153,45 @@ def test_profile_set_limit_on_the_8x8_grid(monkeypatch):
         profile(host, "cutwidth", 8)
     monkeypatch.setattr(profiles, "PROFILE_SET_LIMIT", 10**5)
     assert sum(len(bucket) for bucket in _connected_sets(host, 8)) == 96063
+
+
+def test_profile_bounds_are_sound_and_memo_keys_are_isomorphism_classes():
+    """On every connected set of 30 seeded graphs of at most 10 vertices
+    with gapped labels: the relabelled edges are the set's induced edges
+    written as ranks in its sorted order, each invariant is at most the
+    set's bound, and sets with equal memo keys, across all the graphs, have
+    equal values."""
+    rng = random.Random(1313)
+    values_of = {}
+    for _ in range(30):
+        g = gapped_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5, 0.7)))
+        for k, bucket in enumerate(_connected_sets(g, g.n_vertices)):
+            for subset, mask, (adj, _) in bucket:
+                sub = induced_subcomplex(g, subset)
+                rank = {v: i for i, v in enumerate(subset)}
+                edges = profiles._relabelled_edges(mask, adj)
+                assert edges == tuple(sorted((rank[u], rank[v]) for u, v in sub.edges))
+                values = tuple(profiles._invariant_value(sub, inv) for inv in profiles.INVARIANTS)
+                for invariant, value in zip(profiles.INVARIANTS, values):
+                    assert value <= profiles._value_bound(invariant, k, edges), (invariant, subset)
+                assert values_of.setdefault((k, edges), values) == values
+    assert len(values_of) > 100
+
+
+def test_profile_solves_few_of_the_8x8_grid_sets(monkeypatch):
+    """Of the 31 385 connected sets of the 8x8 grid at r <= 7, at most 200
+    reach each solver: the others are skipped by their bound or share a
+    memo key with a set already solved."""
+    calls = collections.Counter()
+    for name in ("cutwidth_exact", "separation_cut"):
+        solver = getattr(profiles, name)
+        monkeypatch.setattr(
+            profiles, name, lambda g, solver=solver, name=name: calls.update((name,)) or solver(g)
+        )
+    host = grid(8, 8)
+    assert [profile(host, inv, 7).entries[7].value for inv in profiles.INVARIANTS] == [3, 2]
+    assert 0 < calls["cutwidth_exact"] <= 200
+    assert 0 < calls["separation_cut"] <= 200
 
 
 def test_profile_rmax_limit():
