@@ -34,6 +34,7 @@ from .complexes import (
     build_complex,  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
     induced_subcomplex,
 )
+from .fileio import HEADER_VERTEX_LIMIT
 from .reporting import CheckRow
 
 __all__ = [
@@ -423,6 +424,11 @@ def _measured_k(target: SimplicialComplex, vertex_map, sub_edges, provsets) -> i
     return best
 
 
+def _code_width(n: int) -> int:
+    """Bits per vertex id in the codes of a source with n vertices."""
+    return max(1, (n - 1).bit_length())
+
+
 def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
     """Full pipeline: relabel to 0-indexed ids, pick the code width from the
     vertex count, subdivide twice, apply the coding map, and measure.
@@ -435,7 +441,7 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
         raise MalformedComplexError("cannot construct from an empty complex")
     relabel = {v: i for i, v in enumerate(sorted(z.vertices))}
     d = z.dimension
-    ell = max(1, (n - 1).bit_length())
+    ell = _code_width(n)
 
     # refused before subdividing: one 9-vertex simplex already has about
     # 14M chains
@@ -662,6 +668,15 @@ def parse_manifest(text: str):
         d, ell, n, k, volume = map(int, lines[0].split()[1:])
     except ValueError:
         raise MalformedComplexError(f"malformed manifest header: {lines[0]!r}") from None
+    # map_s builds d + 1 words and codes of (d + 1) * ell characters, so the
+    # header is bounded before any line is read: a source of n vertices has
+    # dimension below n (an empty one may say 0) and needs _code_width(n)
+    # bits per id.
+    if n > HEADER_VERTEX_LIMIT or d >= max(n, 1) or ell > _code_width(n):
+        raise MalformedComplexError(
+            f"manifest header out of range (n <= HEADER_VERTEX_LIMIT={HEADER_VERTEX_LIMIT}, "
+            f"d < max(n, 1), ell <= {_code_width(n)}): {lines[0]!r}"
+        )
     functions = []
     words = []
     for ln in lines[1:]:

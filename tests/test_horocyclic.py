@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -622,6 +623,9 @@ def test_revalidation_reports_inadmissible_lines():
         "f 0:x -> 0000,",
         "f a:4 -> 0000,",
         "f 0-:4 -> 0000,",
+        "h 3 2 3 3 15",
+        "h 1 3 3 3 15",
+        "h 1 2 100001 3 15",
     ],
 )
 def test_parse_manifest_quotes_a_malformed_line(line):
@@ -632,3 +636,32 @@ def test_parse_manifest_quotes_a_malformed_line(line):
         text += line + "\n"
     with pytest.raises(MalformedComplexError, match=re.escape(repr(line))):
         parse_manifest(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["h 4000000 1 1 0 1\nf 0:4000001 -> x\n", "h 0 4000000 1 0 1\nf 0:4000000 -> x\n"]
+)
+def test_revalidation_refuses_a_header_before_allocating(text):
+    """A header whose d or ell is past what its n allows is refused before
+    the coding map builds d + 1 words of (d + 1) * ell characters."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(MalformedComplexError, match=re.escape(repr(text.split("\n")[0]))):
+            revalidate_manifest(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 5 * 2**20
+
+
+def test_revalidation_of_an_empty_source_header():
+    """The header bound leaves a source of no vertices in range."""
+    for text in ("h -1 1 0 0 0\n", "h 0 1 0 0 0\n"):
+        assert revalidate_manifest(text) == [
+            CheckRow("functions admissible", 0, 0, True),
+            CheckRow("words match coding map", 0, 0, True),
+            CheckRow("simplicial on rebuilt edges", 0, 0, True),
+            CheckRow("volume matches header", 0, 0, True),
+        ]
