@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 # cutwidth_exact runs the subset DP on graphs of up to DEFAULT_DP_LIMIT
-# vertices (12.9 s and 290 MB at 24 on a 2-core Xeon) and the prefix-set
+# vertices (2.5-5 s and 190 MB at 24 on a 2-core Xeon) and the prefix-set
 # search on larger ones.  The search refuses a graph whose vertices plus
 # edges exceed DEFAULT_SEARCH_SIZE_LIMIT outright, since its prefix sets are
 # bit sets over all the vertices and each of its steps scans the choices
@@ -59,11 +59,13 @@ DEFAULT_STATE_LIMIT = 1 << 17
 BRUTEFORCE_LIMIT = 9
 SUBSET_SCAN_LIMIT = 20
 
-# The pure-Python subset DP is faster up to 9 vertices and numpy from 10 on.
-# Per call on random graphs (p = 0.2 and 0.7) on a shared 2-core Xeon,
-# Python against numpy: 0.56-0.62 ms against 0.72-0.91 ms at n = 9,
-# 1.0-1.3 ms against 0.8-1.2 ms at n = 10, 61-66 ms against 13-14 ms at 15.
-_PURE_PYTHON_DP_MAX = 9
+# The pure-Python subset DP is faster up to 8 vertices and numpy from 9 on.
+# Per call of the DP and the order rebuild on random graphs (p = 0.2-0.7) on
+# a shared 2-core Xeon, Python against numpy: 0.035-0.054 ms against
+# 0.10-0.22 ms at n = 6, 0.15-0.26 ms against 0.15-0.40 ms at n = 8,
+# 0.35-0.62 ms against 0.26-0.49 ms at n = 9, 0.78-1.28 ms against
+# 0.33-0.69 ms at n = 10.
+_PURE_PYTHON_DP_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -181,21 +183,35 @@ def _suffix_dp_python(n, adj):
 def _suffix_dp_numpy(n, iedges):
     """Same contract as :func:`_suffix_dp_python`, vectorised over subsets."""
     size = 1 << n
-    states = np.arange(size, dtype=np.uint32)
-    cut = np.zeros(size, dtype=np.uint16)
+    adj = [0] * n
     for u, v in iedges:
-        cut += ((states >> u) ^ (states >> v)).astype(np.uint16) & 1
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # The sets with top vertex v are T + v for T below 2^v, and
+    # cut(T + v) = cut(T) + deg v - 2 |N(v) & T|.  Both cut(T) and deg v are
+    # at least |N(v) & T|, so the uint16 subtraction cannot wrap.
+    cut = np.zeros(size, dtype=np.uint16)
+    for v in range(n):
+        low = 1 << v
+        inside = np.bitwise_count(np.arange(low, dtype=np.uint32) & (adj[v] & (low - 1)))
+        cut[low : 2 * low] = cut[:low] + adj[v].bit_count() - 2 * inside.astype(np.uint16)
     inf = np.uint16(60000)
     b = np.full(size, inf, dtype=np.uint16)
     b[size - 1] = 0
-    # b[S] only depends on supersets; n in-place sweeps propagate every level
-    for _ in range(n):
+    # Sweep until nothing changes.  Each entry starts at inf or 0 and is only
+    # ever lowered to the width of some completion, so b >= b* throughout.  A
+    # sweep that changes nothing leaves b[S] <= min_v max(cut[S+v], b[S+v])
+    # for every S, and induction down from the full set gives b = b*.  The
+    # order rebuild reads whole tables, so only the exact fixed point will do.
+    while True:
+        before = b.copy()
         for v in range(n):
             shape = (1 << (n - 1 - v), 2, 1 << v)
             bv = b.reshape(shape)
             cv = cut.reshape(shape)
             np.minimum(bv[:, 0, :], np.maximum(cv[:, 1, :], bv[:, 1, :]), out=bv[:, 0, :])
-    return cut, b
+        if np.array_equal(b, before):
+            return cut, b
 
 
 def _dp_order(n, iedges, adj):

@@ -199,6 +199,52 @@ def test_numpy_dp_agrees_with_python_dp(rng):
             assert list(map(int, b_n)) == b_p
 
 
+def test_numpy_dp_stops_at_the_fixed_point():
+    # labellings whose optimal chains take many in-place sweeps to settle,
+    # plus the empty graph and K_n, which settle after one
+    def chain(labels):
+        return [[labels[i], labels[i + 1]] for i in range(len(labels) - 1)]
+
+    def zigzag(labels):
+        """first, last, second, second to last, ..."""
+        half = (len(labels) + 1) // 2
+        return [x for i in range(half) for x in (labels[i], labels[-1 - i])][: len(labels)]
+
+    for n in range(9, 15):
+        # the caterpillar's spine runs down from n - 1 in steps of 2, and its
+        # legs, the other labels in increasing order, hang from its low end up
+        spine = list(range(n - 1, -1, -2))
+        legs = [[leg, spine[-1 - i % len(spine)]] for i, leg in enumerate(range(n % 2, n, 2))]
+        half = n // 2
+        graphs = {
+            "zigzag path": chain(zigzag(range(n))),
+            "star at the last vertex": [[v, n - 1] for v in range(n - 1)],
+            "caterpillar": chain(spine) + legs,
+            "two components": chain(zigzag(range(half))) + chain(zigzag(range(half, n))),
+            "empty": [],
+            "clique": [[u, v] for u in range(n) for v in range(u + 1, n)],
+        }
+        for name, edges in graphs.items():
+            verts, iedges, adj = _index_graph(build_complex(edges, extra_vertices=range(n)))
+            assert verts == tuple(range(n))
+            cut_p, b_p = _suffix_dp_python(n, adj)
+            cut_n, b_n = _suffix_dp_numpy(n, iedges)
+            assert list(map(int, cut_n)) == cut_p, (n, name)
+            assert list(map(int, b_n)) == b_p, (n, name)
+
+
+def test_numpy_dp_memory():
+    """The DP holds three tables of 2^n uint16 entries and small temporaries."""
+    g = random_graph(random.Random(0), 20, 0.25)
+    tracemalloc.start()
+    try:
+        cutwidth_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_numpy_dp_used_above_threshold(rng):
     g = random_graph(rng, 17, 0.2)
     arr = cutwidth_exact(g)
