@@ -1,8 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 when all certified checks pass, 1 when a certified check
-fails, 2 on usage or parse errors.  Output is byte-identical across runs
-and thread counts.
+The parser is built once, when the module is imported, and each leaf
+command carries its handler, so :func:`main` only parses and dispatches.
+Every leaf command takes ``--out PATH`` and ``--threads N`` after its name
+(after the subcommand's name under ``horocyclic`` and ``verify``);
+``--threads`` has no effect.  Exit codes: 0 when all certified checks
+pass, 1 when a certified check fails, 2 on usage or parse errors.  Output
+is byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -32,60 +36,6 @@ def _read(path: str) -> str:
 
 def _load_complex(path: str):
     return parse_complex(_read(path))
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    common.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
-
-    top = argparse.ArgumentParser(prog="topoverlap", parents=[common])
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", parents=[common], help="basic invariants of a complex")
-    p.add_argument("file")
-
-    p = sub.add_parser("cutwidth", parents=[common], help="cutwidth of a graph")
-    p.add_argument("file")
-    p.add_argument("--method", choices=("dp", "bruteforce", "anneal"), default="dp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2000)
-
-    p = sub.add_parser("cheeger", parents=[common], help="exact vertex Cheeger constant")
-    p.add_argument("file")
-
-    p = sub.add_parser("cut", parents=[common], help="minimum balanced vertex separator")
-    p.add_argument("file")
-
-    p = sub.add_parser("profile", parents=[common], help="invariant profile over induced subgraphs")
-    p.add_argument("file")
-    p.add_argument("--invariant", choices=("cutwidth", "separation"), required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "candidates"), default="exact")
-    p.add_argument("--candidates", type=str, default=None)
-
-    p = sub.add_parser("horocyclic", parents=[common], help="coarse constructions")
-    hsub = p.add_subparsers(dest="subcommand", required=True)
-    c = hsub.add_parser("construct", parents=[common], help="build and measure a construction")
-    c.add_argument("file")
-    c.add_argument("--manifest", type=str, default=None)
-    c.add_argument("--validate", action="store_true")
-
-    p = sub.add_parser("translate", parents=[common], help="best skeleton-avoiding translate of a cube set")
-    p.add_argument("--cubes", required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = sub.add_parser("extract-expander", parents=[common], help="greedy Cheeger extraction")
-    p.add_argument("file")
-    p.add_argument("--target", required=True, help="rational like 1/2")
-
-    p = sub.add_parser("verify", parents=[common], help="replay certified inequalities")
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-    v = vsub.add_parser("cwsep", parents=[common], help="cutwidth/separation recursion on exact tables")
-    v.add_argument("cw_csv")
-    v.add_argument("sep_csv")
-    v.add_argument("--delta", type=int, required=True)
-    return top
 
 
 def _cmd_stats(args) -> tuple:
@@ -204,28 +154,77 @@ def _cmd_verify_cwsep(args) -> tuple:
     return (0 if all_passed(rows) else 1), emit_csv(rows)
 
 
+def _command(sub, name, handler, summary):
+    """Add a leaf command bound to its handler, with the two output flags."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+    p.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="topoverlap")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = _command(sub, "stats", _cmd_stats, "basic invariants of a complex")
+    p.add_argument("file")
+
+    p = _command(sub, "cutwidth", _cmd_cutwidth, "cutwidth of a graph")
+    p.add_argument("file")
+    p.add_argument("--method", choices=("dp", "bruteforce", "anneal"), default="dp")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=2000)
+
+    p = _command(sub, "cheeger", _cmd_cheeger, "exact vertex Cheeger constant")
+    p.add_argument("file")
+
+    p = _command(sub, "cut", _cmd_cut, "minimum balanced vertex separator")
+    p.add_argument("file")
+
+    p = _command(sub, "profile", _cmd_profile, "invariant profile over induced subgraphs")
+    p.add_argument("file")
+    p.add_argument("--invariant", choices=("cutwidth", "separation"), required=True)
+    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--mode", choices=("exact", "candidates"), default="exact")
+    p.add_argument("--candidates", type=str, default=None)
+
+    hsub = sub.add_parser("horocyclic", help="coarse constructions").add_subparsers(
+        dest="subcommand", required=True
+    )
+    p = _command(hsub, "construct", _cmd_horocyclic, "build and measure a construction")
+    p.add_argument("file")
+    p.add_argument("--manifest", type=str, default=None)
+    p.add_argument("--validate", action="store_true")
+
+    p = _command(sub, "translate", _cmd_translate, "best skeleton-avoiding translate of a cube set")
+    p.add_argument("--cubes", required=True)
+    p.add_argument("--q", type=int, required=True)
+
+    p = _command(sub, "extract-expander", _cmd_extract, "greedy Cheeger extraction")
+    p.add_argument("file")
+    p.add_argument("--target", required=True, help="rational like 1/2")
+
+    vsub = sub.add_parser("verify", help="replay certified inequalities").add_subparsers(
+        dest="subcommand", required=True
+    )
+    p = _command(vsub, "cwsep", _cmd_verify_cwsep, "cutwidth/separation recursion on exact tables")
+    p.add_argument("cw_csv")
+    p.add_argument("sep_csv")
+    p.add_argument("--delta", type=int, required=True)
+    return top
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handlers = {
-        "stats": _cmd_stats,
-        "cutwidth": _cmd_cutwidth,
-        "cheeger": _cmd_cheeger,
-        "cut": _cmd_cut,
-        "profile": _cmd_profile,
-        "translate": _cmd_translate,
-        "extract-expander": _cmd_extract,
-    }
     try:
-        if args.command == "horocyclic":
-            code, text = _cmd_horocyclic(args)
-        elif args.command == "verify":
-            code, text = _cmd_verify_cwsep(args)
-        else:
-            code, text = handlers[args.command](args)
+        code, text = args.handler(args)
     except (ParseError, SizeLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

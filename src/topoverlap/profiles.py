@@ -144,17 +144,16 @@ def _set_limit_error(r_max: int) -> SizeLimitError:
 def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
     """Connected vertex sets of 1..r_max vertices of a graph, by size.
 
-    ``by_size[k]`` holds each set of k vertices as ``(subset, mask, ball)``
+    ``by_size[k]`` holds each set of k vertices as ``(subset, mask, adj)``
     in lexicographic order of the sets: ``subset`` is the sorted tuple of
     its vertices, ``mask`` has bit i set for each member at index i of its
-    root's ball, and ``ball`` is ``(adj, ball_cx)``, the ball's adjacency
-    bit masks and the subgraph it induces.  ESU (Wernicke, 2006) finds each
-    set once, grown from its least vertex, the root, by adjacent vertices
-    above the root; these all lie in the root's ball, the vertices reached
-    from the root in fewer than r_max steps through vertices above it.  A
-    set's edges and subgraph are later cut from its ball rather than from
-    the host, so scoring it costs the same on a large host.  Refuses as
-    soon as the count passes PROFILE_SET_LIMIT.
+    root's ball, and ``adj`` holds the ball's adjacency bit masks.  ESU
+    (Wernicke, 2006) finds each set once, grown from its least vertex, the
+    root, by adjacent vertices above the root; these all lie in the root's
+    ball, the vertices reached from the root in fewer than r_max steps
+    through vertices above it.  A set's edges are later cut from its ball's
+    bit masks rather than from the host, so scoring it costs the same on a
+    large host.  Refuses as soon as the count passes PROFILE_SET_LIMIT.
     """
     verts, edges = as_graph(host)
     n = len(verts)
@@ -187,11 +186,6 @@ def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
         local = {x: i for i, x in enumerate(ball)}
         adj = [sum(1 << local[y] for y in nbrs[x] if y in local) for x in ball]
         ids = [verts[x] for x in ball]
-        ball_cx = build_complex(
-            [[verts[x], verts[y]] for x in ball for y in nbrs[x] if x < y and y in local],
-            extra_vertices=ids,
-        )
-        shared = (adj, ball_cx)
         # (members, their mask, their closed neighbourhood, extension) in
         # ball indices
         stack = [((0,), 1, adj[0] | 1, adj[0])]
@@ -200,7 +194,7 @@ def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
             count += 1
             if count > PROFILE_SET_LIMIT:
                 raise _set_limit_error(r_max)
-            by_size[len(members)].append((tuple(ids[i] for i in sorted(members)), mask, shared))
+            by_size[len(members)].append((tuple(ids[i] for i in sorted(members)), mask, adj))
             if len(members) < top:
                 while ext:
                     low = ext & -ext
@@ -273,8 +267,9 @@ def profile(
     from its ball's bit masks) is at most that best is skipped unsolved.
     The rest are keyed by size and edges relabelled to ranks in sorted
     order; equal keys are isomorphic sets, so a key met before reuses its
-    value, and only a new key builds the set's subgraph and calls the
-    solver.  Values and witnesses are those of solving every set.
+    value, and only a new key builds the set's subgraph, from those edges,
+    and calls the solver.  Values and witnesses are those of solving every
+    set.
     Candidates mode evaluates only the supplied vertex sets and tags
     all entries as lower bounds.  Hosts of higher dimension are reduced to
     their 1-skeleton first; both invariants only see vertices and edges.
@@ -313,14 +308,15 @@ def profile(
     best, witness = 0, ()
     solved = {}  # (k, relabelled edges) -> value, for the sets solved so far
     for r in range(1, r_max + 1):
-        for subset, mask, (adj, ball_cx) in by_size[r] if r < len(by_size) else ():
+        for subset, mask, adj in by_size[r] if r < len(by_size) else ():
             edges = _relabelled_edges(mask, adj)
             if _value_bound(invariant, r, edges) <= best:
                 continue
             key = (r, edges)
             val = solved.get(key)
             if val is None:
-                val = solved[key] = _invariant_value(induced_subcomplex(ball_cx, subset), invariant)
+                sub = build_complex([[subset[i], subset[j]] for i, j in edges], extra_vertices=subset)
+                val = solved[key] = _invariant_value(sub, invariant)
             if val > best:
                 best, witness = val, subset
         entries[r] = ProfileEntry(best, witness, "exact")

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 import time
@@ -277,6 +278,63 @@ def test_cli_translate_refuses_a_large_header_at_once(tmp_path, capsys):
     cubes.write_text("2 x\n")
     assert main(["translate", "--cubes", str(cubes), "--q", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+def test_cli_output_flags_follow_the_command(tmp_path, capsys):
+    """--out and --threads belong to the leaf command: placed before the
+    command, or between horocyclic or verify and its subcommand, they are a
+    usage error that writes nothing."""
+    c4 = _write_complex(tmp_path, "c4.txt", cycle(4))
+    cw, sep = str(tmp_path / "cw.csv"), str(tmp_path / "sep.csv")
+    assert main(["profile", c4, "--invariant", "cutwidth", "--rmax", "4", "--out", cw]) == 0
+    assert main(["profile", c4, "--invariant", "separation", "--rmax", "4", "--out", sep]) == 0
+    out = tmp_path / "out.txt"
+    for flag in (["--out", str(out)], ["--threads", "2"]):
+        for argv in (
+            flag + ["cutwidth", c4],
+            ["horocyclic"] + flag + ["construct", c4],
+            ["verify"] + flag + ["cwsep", cw, sep, "--delta", "2"],
+        ):
+            assert main(argv) == 2, argv
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and err.startswith("usage: "), argv
+            assert not out.exists(), argv
+
+
+def test_cli_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    """The parser outlives each call, so a call that fails half parsed must
+    not leak its values into the next one."""
+    c4 = _write_complex(tmp_path, "c4.txt", cycle(4))
+    want = "width,2\nkind,exact\norder,0 1 2 3\nprofile,0 2 2 2\n"
+    for bad in (
+        ["cutwidth", c4, "--method", "anneal", "--seed", "x"],
+        ["cutwidth", c4, "--method", "nope"],
+        ["cutwidth", c4, "--out", str(tmp_path / "never"), "--budget"],
+        ["horocyclic"],
+    ):
+        assert main(bad) == 2, bad
+        assert capsys.readouterr().out == ""
+        assert main(["cutwidth", c4]) == 0
+        assert capsys.readouterr().out == want
+    assert not (tmp_path / "never").exists()
+
+
+def test_cli_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    """The parser is built once, at import: main constructs none."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    c4 = _write_complex(tmp_path, "c4.txt", cycle(4))
+    assert main(["stats", c4]) == 0
+    assert main(["horocyclic", "construct", c4]) == 0
+    assert main(["verify", "cwsep"]) == 2
+    capsys.readouterr()
+    assert built == []
 
 
 def test_cli_entry_point_runs():

@@ -166,7 +166,7 @@ def test_profile_bounds_are_sound_and_memo_keys_are_isomorphism_classes():
     for _ in range(30):
         g = gapped_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5, 0.7)))
         for k, bucket in enumerate(_connected_sets(g, g.n_vertices)):
-            for subset, mask, (adj, _) in bucket:
+            for subset, mask, adj in bucket:
                 sub = induced_subcomplex(g, subset)
                 rank = {v: i for i, v in enumerate(subset)}
                 edges = profiles._relabelled_edges(mask, adj)

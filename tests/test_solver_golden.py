@@ -11,8 +11,9 @@ criterion-9 recipe, cutwidth-profile CSVs (the larger ones of the 4x4
 and 8x8 grids recorded later, with the same engines), and the best translates of the
 `solve` benchmark's cube-set shapes.
 
-Graphs of 21 to 24 vertices are left out: the DP takes up to 13 s and
-290 MB at 24.
+Graphs of 21 to 24 vertices are left out to keep this file fast: the DP
+takes 1.5 to 5 s and about 150 MB of peak RSS at 24 on a shared 2-core
+machine.
 """
 
 from __future__ import annotations
