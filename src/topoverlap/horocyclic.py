@@ -348,9 +348,8 @@ def map_s(fn, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
     """Word tuple of one refinement vertex: coordinate j encodes the minimal
     vertex of the support set of cardinality j, truncated to that set's
     weight; coordinates with no support set stay empty."""
-    items = _canonical_function(fn.items() if isinstance(fn, dict) else fn)
-    sets = [frozenset(s) for s, _ in items]
-    if not _support_is_chain(sets):
+    items = tuple(fn.items() if isinstance(fn, dict) else fn)
+    if not _support_is_chain(s for s, _ in items):
         raise MalformedComplexError("support is not a chain")
     if any(c <= 0 for _, c in items):
         raise MalformedComplexError("weights must be positive")
@@ -452,16 +451,18 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
     lattice = build_D_ell(bary, labels, ell, d)
 
     words = [map_s(fn, ell, d, relabel) for fn in lattice.functions]
-    sub_edges = lattice.complex.edges
-    for i, j in sub_edges:
-        if words[i] != words[j] and not words_adjacent(words[i], words[j]):
-            raise ConstructionError(f"coding map is not simplicial on refinement edge {i}-{j}")
-
     image = sorted(set(words), key=lambda w: (tuple(len(x) for x in w), w))
     target_id = {w: t for t, w in enumerate(image)}
     vertex_map = tuple(target_id[w] for w in words)
 
     target = _flag_complex(image, target_id, d, "image spans a simplex above the source dimension")
+    # _word_neighbors yields each rule edge from exactly one of its ends, so
+    # the target's edges are exactly the words_adjacent pairs of image words.
+    sub_edges = lattice.complex.edges
+    for i, j in sub_edges:
+        a, b = vertex_map[i], vertex_map[j]
+        if a != b and frozenset((a, b)) not in target:
+            raise ConstructionError(f"coding map is not simplicial on refinement edge {i}-{j}")
 
     provsets = {simplex: frozenset((prov,)) for simplex, prov in lattice.provenance.items()}
     measured = _measured_k(target, vertex_map, sub_edges, provsets)

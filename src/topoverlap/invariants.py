@@ -68,6 +68,27 @@ SUBSET_SCAN_LIMIT = 20
 _PURE_PYTHON_DP_MAX = 8
 
 
+def _gap_sums(n: int, spans):
+    """The n + 1 cuts of an order of n positions: entry i counts the spans
+    (a, b), positions a < b in 0..n-1, with a < i <= b, so entries 0 and n
+    are 0.  The running sums of a difference array, in O(n + m) for m
+    spans; an iterator, so that a caller wanting only the max builds
+    nothing."""
+    steps = [0] * (n + 1)
+    for a, b in spans:
+        steps[a + 1] += 1
+        steps[b + 1] -= 1
+    return itertools.accumulate(steps)
+
+
+def _spans(order, edges):
+    """Each edge as (a, b), its ends' positions in ``order`` with a < b."""
+    pos = {v: i for i, v in enumerate(order)}
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        yield (a, b) if a < b else (b, a)
+
+
 @dataclass(frozen=True)
 class LinearArrangement:
     """A vertex ordering together with its cut profile.
@@ -87,18 +108,8 @@ class LinearArrangement:
         order = tuple(order)
         if sorted(order) != list(verts):
             raise ValueError("order is not a bijection on the graph's vertices")
-        pos = {v: i + 1 for i, v in enumerate(order)}
-        n = len(order)
-        profile = [0] * n
-        for u, v in edges:
-            a, b = sorted((pos[u], pos[v]))
-            for i in range(a + 1, b + 1):
-                profile[i - 1] += 1
-        return cls(order, tuple(profile), max(profile, default=0))
-
-    @property
-    def position(self) -> dict:
-        return {v: i + 1 for i, v in enumerate(self.order)}
+        profile = tuple(itertools.islice(_gap_sums(len(order), _spans(order, edges)), len(order)))
+        return cls(order, profile, max(profile, default=0))
 
 
 @dataclass(frozen=True)
@@ -630,13 +641,7 @@ def cutwidth_heuristic(
     rng = random.Random(seed)
 
     def width_of(order):
-        pos = {v: i for i, v in enumerate(order)}
-        profile = [0] * (n - 1)
-        for u, v in edges:
-            a, b = sorted((pos[u], pos[v]))
-            for i in range(a, b):
-                profile[i] += 1
-        return max(profile, default=0)
+        return max(_gap_sums(n, _spans(order, edges)))
 
     def descend(order):
         order = list(order)
@@ -689,19 +694,16 @@ def sweep_overlap(graph: SimplicialComplex, arrangement: LinearArrangement) -> i
     and nothing elsewhere.
     """
     verts, edges = as_graph(graph)
-    pos = arrangement.position
-    if set(pos) != set(verts):
+    order = arrangement.order
+    if sorted(order) != list(verts):
         raise ValueError("arrangement does not match the graph")
-    n = len(verts)
-    if n == 0:
+    if not order:
         return 0
-    spans = [tuple(sorted((pos[u], pos[v]))) for u, v in edges]
-    best = 0
-    for level in range(1, n + 1):
-        at_vertex = 1 + sum(1 for a, b in spans if a <= level <= b)
-        strictly_between = sum(1 for a, b in spans if a <= level < b)
-        best = max(best, at_vertex, strictly_between)
-    return best
+    # The level of the vertex at position L meets it and the edges (a, b)
+    # with a <= L <= b: the edges across gap L + 1 of an order one position
+    # longer, each stretched to end one position later.  A level between two
+    # positions meets only edges that the levels at both of them meet too.
+    return 1 + max(_gap_sums(len(order) + 1, ((a, b + 1) for a, b in _spans(order, edges))))
 
 
 def to1_bounds(graph: SimplicialComplex) -> To1Bounds:

@@ -11,7 +11,6 @@ and the line-by-line verification of the expander-to-separator chain.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,7 @@ from fractions import Fraction
 from ._util import SizeLimitError
 from ._util import parallel_map  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
 from .complexes import SimplicialComplex, as_graph, build_complex, induced_subcomplex, skeleton
-from .invariants import cheeger_exact, cutwidth_exact, separation_cut
+from .invariants import _gap_sums, cheeger_exact, cutwidth_exact, separation_cut
 from .reporting import CheckRow, all_passed
 
 __all__ = [
@@ -240,11 +239,7 @@ def _value_bound(invariant: str, k: int, edges) -> int:
     vertices, if any, balances it.  On a tree that bound is 1.
     """
     if invariant == "cutwidth":
-        steps = [0] * (k + 1)
-        for i, j in edges:
-            steps[i] += 1
-            steps[j] -= 1
-        return max(itertools.accumulate(steps))
+        return max(_gap_sums(k, edges))
     return min((k + 1) // 2, len(edges) - k + 2)
 
 
@@ -288,15 +283,17 @@ def profile(
     if mode == "candidates":
         if candidates is None:
             raise ValueError("candidates mode requires candidate vertex sets")
-        scored = []
+        # Only a candidate of exactly r vertices can raise row r: a smaller
+        # one was weighed at its own row, and the best only grows since.
+        by_size = {}
         for cand in candidates:
             sub = induced_subcomplex(host, cand)
-            scored.append((len(cand), tuple(sorted(cand)), _invariant_value(sub, invariant)))
+            by_size.setdefault(len(cand), []).append((tuple(sorted(cand)), _invariant_value(sub, invariant)))
         entries = {}
         best, witness = 0, ()
         for r in range(r_max + 1):
-            for size, cand, val in scored:
-                if size <= r and val > best:
+            for cand, val in by_size.get(r, ()):
+                if val > best:
                     best, witness = val, cand
             entries[r] = ProfileEntry(best, witness, "lower_bound")
         return ProfileTable(invariant, entries, host_signature(host))

@@ -190,6 +190,8 @@ def test_map_s_examples():
     assert map_s({(0,): 6}, 2, 2) == ("000000", "", "")
     assert map_s({(0,): 2, (0, 1): 2, (0, 1, 2): 2}, 2, 2) == ("00", "00", "00")
     assert map_s({(1,): 1, (0, 1): 1}, 1, 1) == ("1", "0")
+    # pairs out of canonical order and simplices unsorted give the same word
+    assert map_s((((2, 0, 1), 2), ((0,), 2), ((1, 0), 2)), 2, 2) == ("00", "00", "00")
 
 
 def test_map_s_rejects_bad_functions():
@@ -224,6 +226,22 @@ def test_construct_triangle_interference_bound():
     tri = build_complex([[0, 1, 2]])
     cc = coarse_construct(tri)
     assert cc.measured_k <= 2**tri.degree == 4
+
+
+def test_construct_raises_on_a_non_simplicial_coding_map(monkeypatch):
+    """Negative control: the first refinement vertex is sent to the empty
+    word tuple, which no rule edge reaches, so its refinement edges have no
+    image edge."""
+    real = horocyclic.map_s
+    seen = []
+
+    def far_first(fn, ell, d, vertex_id_of=None):
+        seen.append(fn)
+        return ("",) * (d + 1) if len(seen) == 1 else real(fn, ell, d, vertex_id_of)
+
+    monkeypatch.setattr(horocyclic, "map_s", far_first)
+    with pytest.raises(ConstructionError, match="coding map is not simplicial on refinement edge 0-"):
+        coarse_construct(build_complex([[0, 1]]))
 
 
 def test_construct_respects_vertex_limit(monkeypatch):

@@ -11,6 +11,12 @@ criterion-9 recipe, cutwidth-profile CSVs (the larger ones of the 4x4
 and 8x8 grids recorded later, with the same engines), and the best translates of the
 `solve` benchmark's cube-set shapes.
 
+Three digests recorded later, with the per-gap cut loops that each order
+scorer then had, pin what is derived from an order: the cut profiles of the
+exact orders, the annealer's orders (every comparison and random draw it
+makes depends on the widths it computes), and the sweep overlaps of shuffled
+orders with the ``to1_bounds`` triples.
+
 Graphs of 21 to 24 vertices are left out to keep this file fast: the DP
 takes 1.5 to 5 s and about 150 MB of peak RSS at 24 on a shared 2-core
 machine.
@@ -21,7 +27,17 @@ from __future__ import annotations
 import hashlib
 import random
 
-from topoverlap import CubeSet, coarse_construct, cutwidth_exact, find_translate, profile
+from topoverlap import (
+    CubeSet,
+    LinearArrangement,
+    coarse_construct,
+    cutwidth_exact,
+    cutwidth_heuristic,
+    find_translate,
+    profile,
+    sweep_overlap,
+    to1_bounds,
+)
 from topoverlap.fileio import emit_csv
 
 from conftest import clique, cycle, gapped_graph, grid, hypercube, path, random_graph
@@ -34,6 +50,9 @@ GOLDEN = {
     "cutwidth-profiles": "caac458a5172cf00dbfeef32272795dd8cfe4d89cbbfe6293b34eba7ee98b78c",
     "cutwidth-profiles-large": "5d08f0235a8261b38799d6edad68e2490ea97e076afd946d0b59323f560c2f65",
     "translate": "bd7864e9bf8167f30d1d716098a49fef39f6985c9b4fd9f1d10dc256381d22f1",
+    "cut-profiles": "6d6eb7e887ab7137508239a76b1e24c13edfb7433bfc39f9fc682772e99c4c3d",
+    "anneal": "08280c76310a8e3a35b7e8998a5f416f1c9fe255d7d7e9b00d5ff946f7da1582",
+    "sweep": "3794429cb6b07e6198ce2a35d5ff402e351c8b57ec8a535975d12e8c4a6d2193",
 }
 
 TRANSLATE_SHAPES = (
@@ -82,6 +101,40 @@ def cutwidth_text(graphs) -> str:
     return "\n".join(lines)
 
 
+def cut_profiles_text() -> str:
+    return "\n".join(str(cutwidth_exact(g).cut_profile) for g in random_graphs() + named_graphs())
+
+
+def anneal_text() -> str:
+    rng = random.Random(1818)
+    lines = []
+    for n in (2, 8, 16, 20, 24, 28):
+        for p in (0.2, 0.5):
+            g = gapped_graph(rng, n, p)
+            for seed in (0, 1):
+                for arrangement in (cutwidth_heuristic(g, seed), cutwidth_heuristic(g, seed, budget=60)):
+                    lines.append(f"{arrangement.width}|{arrangement.order}")
+    return "\n".join(lines)
+
+
+def sweep_text() -> str:
+    """Sweep overlaps of shuffled orders, on graphs with isolated vertices
+    among others, then the ``to1_bounds`` triples of the graphs of at most
+    12 vertices."""
+    rng = random.Random(1919)
+    graphs = random_graphs() + named_graphs()
+    lines = []
+    for g in graphs:
+        order = sorted(g.vertices)
+        rng.shuffle(order)
+        lines.append(f"{sweep_overlap(g, LinearArrangement.from_order(g, order))}")
+    for g in graphs:
+        if g.n_vertices <= 12:
+            b = to1_bounds(g)
+            lines.append(f"{b.lower} {b.upper} {b.realized_overlap}")
+    return "\n".join(lines)
+
+
 def profiles_text() -> str:
     hosts = [grid(3, 4), hypercube(3), cycle(12), path(12)]
     return "".join(emit_csv(profile(h, "cutwidth", h.n_vertices)) for h in hosts)
@@ -113,6 +166,9 @@ def solver_texts() -> dict:
         "cutwidth-profiles": profiles_text(),
         "cutwidth-profiles-large": large_profiles_text(),
         "translate": translate_text(),
+        "cut-profiles": cut_profiles_text(),
+        "anneal": anneal_text(),
+        "sweep": sweep_text(),
     }
 
 
