@@ -80,13 +80,13 @@ class SimplicialComplex:
         )
 
     def maximal_simplices(self) -> list:
-        """Inclusion-maximal simplices as sorted tuples, in lexicographic order."""
-        by_size = sorted(self.simplices, key=len, reverse=True)
-        maximal: list = []
-        for s in by_size:
-            if not any(s < m for m in maximal):
-                maximal.append(s)
-        return sorted(tuple(sorted(s)) for s in maximal)
+        """Inclusion-maximal simplices as sorted tuples, in lexicographic order.
+
+        The family is downward closed, so a simplex is maximal exactly when
+        it is a codimension-1 face of no other simplex: one pass over each
+        simplex's facets, O(S·d) for S simplices of at most d vertices."""
+        covered = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
+        return sorted(tuple(sorted(s)) for s in self.simplices if s not in covered)
 
     def sorted_simplices(self) -> list:
         """Every simplex as a sorted tuple, ordered by (size, lexicographic)."""
@@ -166,14 +166,13 @@ def stats(cx: SimplicialComplex) -> ComplexStats:
     return out
 
 
-def _clique_levels(nbrs, top: int, keep=None) -> list:
+def _clique_levels(nbrs, top: int) -> list:
     """Cliques of at most ``top`` vertices of the graph ``nbrs`` (vertex ->
     set of neighbours): ``levels[k]`` lists those of k+1 vertices as sorted
     tuples in lexicographic order, and only non-empty levels are listed.
 
     A clique grows only by common neighbours above its largest vertex, so
-    each is found once.  ``keep``, if given, decides whether a clique of 3 or
-    more vertices is kept and grown.
+    each is found once.
     """
     above = {v: {u for u in nbrs[v] if u > v} for v in nbrs}
     levels = []
@@ -186,9 +185,7 @@ def _clique_levels(nbrs, top: int, keep=None) -> list:
         grown = []
         for clique, common in level:
             for u in sorted(common):
-                bigger = clique + (u,)
-                if keep is None or len(bigger) < 3 or keep(bigger):
-                    grown.append((bigger, None if last else common & above[u]))
+                grown.append((clique + (u,), None if last else common & above[u]))
         level = grown
     return levels
 

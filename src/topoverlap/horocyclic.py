@@ -330,24 +330,12 @@ def _check_dimension_witness(chains, labels, index, total, d, cache):
             raise ConstructionError("corner cells of a longest chain are not one move apart")
 
 
-def _lattice_cliques(functions, nbrs, top: int) -> list:
-    """Cliques of at most ``top`` vertices of the refinement edge relation
-    ``nbrs`` whose supports join into a chain, by size as in
-    ``_clique_levels``."""
-
-    def join_is_chain(ids):
-        union = set()
-        for i in ids:
-            union.update(frozenset(s) for s, _ in functions[i])
-        return _support_is_chain(union)
-
-    return _clique_levels(nbrs, top, keep=join_is_chain)
-
-
 def map_s(fn, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
     """Word tuple of one refinement vertex: coordinate j encodes the minimal
     vertex of the support set of cardinality j, truncated to that set's
-    weight; coordinates with no support set stay empty."""
+    weight; coordinates with no support set stay empty.  A support set that
+    repeats a vertex is refused, so the word does not depend on the order
+    of the pairs."""
     items = tuple(fn.items() if isinstance(fn, dict) else fn)
     if not _support_is_chain(s for s, _ in items):
         raise MalformedComplexError("support is not a chain")
@@ -360,6 +348,8 @@ def map_s(fn, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
         card = len(simplex)
         if card > d + 1:
             raise MalformedComplexError("support set larger than d+1")
+        if len(set(simplex)) != card:
+            raise MalformedComplexError("support set repeats a vertex")
         ids = [vertex_id_of[v] for v in simplex] if vertex_id_of else list(simplex)
         words[card - 1] = binary_code(min(ids), weight, ell, d)
     return tuple(words)
@@ -543,37 +533,39 @@ def validate_construction(cc: CoarseConstruction, k_claim: int, vol_claim: int) 
     return rows
 
 
-def _cliques_with_prov(cc: CoarseConstruction, size: int):
-    """(simplex ids, provenance antichain) for subdivision simplices with
-    ``size`` vertices.  Sizes above 2 are recovered per record kind."""
-    if size == 1:
-        return [((i,), cc.provsets[frozenset((i,))]) for i in range(len(cc.vertex_map))]
-    if size == 2:
-        return [(e, cc.provsets[frozenset(e)]) for e in cc.sub_edges]
+def _cells(cc: CoarseConstruction, top: int):
+    """(sorted simplex ids, provenance antichain) for every subdivision
+    simplex of at most ``top`` vertices.
+
+    A lattice record stores only vertices and edges; its simplices are the
+    cliques of its edges.  The two ends of a one-move edge have supports
+    that join into a chain, so the support sets in a whole clique are
+    pairwise comparable, and pairwise comparable sets form a chain.  A
+    clique is carried by the largest top among its vertices' supports.
+    """
     if cc.kind == "identity":
-        verts = sorted(cc.source.vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        out = []
-        for s in cc.source.simplices:
-            if len(s) == size:
-                ids = tuple(sorted(index[v] for v in s))
-                out.append((ids, frozenset((frozenset(s),))))
-        return out
+        index = {v: i for i, v in enumerate(sorted(cc.source.vertices))}
+        return [
+            (tuple(sorted(index[v] for v in s)), frozenset((s,)))
+            for s in cc.source.simplices
+            if len(s) <= top
+        ]
     if cc.kind == "lattice":
         tops = [frozenset(fn[-1][0]) for fn in cc.functions]
         nbrs = {i: set() for i in range(len(cc.functions))}
         for i, j in cc.sub_edges:
             nbrs[i].add(j)
             nbrs[j].add(i)
-        levels = _lattice_cliques(cc.functions, nbrs, size)
-        cliques = levels[size - 1] if len(levels) == size else []
         return [
             (c, frozenset((max((tops[i] for i in c), key=len),)))
-            for c in cliques
+            for level in _clique_levels(nbrs, top)
+            for c in level
         ]
-    raise ConstructionError(
-        "composing onto a composite with a target of dimension above 1 is not supported"
-    )
+    if top > 2:
+        raise ConstructionError(
+            "composing onto a composite with a target of dimension above 1 is not supported"
+        )
+    return [(tuple(sorted(key)), prov) for key, prov in cc.provsets.items() if len(key) <= top]
 
 
 def _min_antichain(sets) -> frozenset:
@@ -598,12 +590,11 @@ def compose(cc1: CoarseConstruction, cc2: CoarseConstruction) -> CoarseConstruct
 
     max_needed = max((len(s) for prov in cc2.provsets.values() for s in prov), default=1)
     sources1: dict = {}
-    for size in range(1, max_needed + 1):
-        for simplex, prov in _cliques_with_prov(cc1, size):
-            image = frozenset(cc1.vertex_map[i] for i in simplex)
-            if len(image) < size:
-                continue  # collapsed cells are covered by their faces
-            sources1.setdefault(image, set()).update(prov)
+    for simplex, prov in _cells(cc1, max_needed):
+        image = frozenset(cc1.vertex_map[i] for i in simplex)
+        if len(image) < len(simplex):
+            continue  # collapsed cells are covered by their faces
+        sources1.setdefault(image, set()).update(prov)
 
     def trace(provset) -> frozenset:
         hit = set()
@@ -661,7 +652,8 @@ def write_manifest(cc: CoarseConstruction) -> str:
 
 def parse_manifest(text: str):
     """Inverse of :func:`write_manifest`: (d, ell, n, measured_k, volume,
-    functions, words), all vertex ids 0-indexed."""
+    functions, words), all vertex ids 0-indexed.  Each support set is read
+    as a vertex set (`0-0` is `0`) and each function in canonical form."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("h "):
         raise MalformedComplexError("manifest must start with a header line")
@@ -688,7 +680,7 @@ def parse_manifest(text: str):
         for part in body.split():
             simplex, _, cnt = part.partition(":")
             try:
-                pairs.append((tuple(int(v) for v in simplex.split("-")), int(cnt)))
+                pairs.append((frozenset(int(v) for v in simplex.split("-")), int(cnt)))
             except ValueError:
                 raise MalformedComplexError(f"malformed manifest line: {ln!r}") from None
         functions.append(_canonical_function(pairs))
@@ -722,20 +714,19 @@ def revalidate_manifest(text: str) -> list:
     mismatches = sum(1 for _, word, mapped in admitted if word != mapped)
     rows.append(CheckRow("words match coding map", mismatches, 0, mismatches == 0))
 
-    # map_s accepted every admitted function, so its support is a chain.  A
-    # key reads each support set as a vertex set (`0-0` is `0`), as the
-    # one-move relation does; a manifest may repeat a function, so each key
-    # keeps the list of its lines.  Each pair of lines one move apart is one
-    # move up from exactly one of them, so it is counted once.
-    keys = [_canonical_function((frozenset(s), c) for s, c in fn) for fn, _, _ in admitted]
+    # map_s accepted every admitted function, so its support is a chain, and
+    # parse_manifest put it in the canonical form the one-move relation
+    # splices.  A manifest may repeat a function, so each function keeps the
+    # list of its lines.  Each pair of lines one move apart is one move up
+    # from exactly one of them, so it is counted once.
     lines_of: dict = {}
-    for i, key in enumerate(keys):
-        lines_of.setdefault(key, []).append(i)
-    sets = {frozenset(s) for key in lines_of for s, _ in key}
+    for i, (fn, _, _) in enumerate(admitted):
+        lines_of.setdefault(fn, []).append(i)
+    sets = {frozenset(s) for fn in lines_of for s, _ in fn}
     cache: dict = {}
     bad_edges = 0
-    for i, key in enumerate(keys):
-        for neighbor in _one_move_neighbors(key, sets, cache):
+    for i, (fn, _, _) in enumerate(admitted):
+        for neighbor in _one_move_neighbors(fn, sets, cache):
             for j in lines_of.get(neighbor, ()):
                 if recomputed[i] != recomputed[j] and not words_adjacent(recomputed[i], recomputed[j]):
                     bad_edges += 1

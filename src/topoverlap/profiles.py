@@ -17,7 +17,14 @@ from fractions import Fraction
 
 from ._util import SizeLimitError
 from ._util import parallel_map  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
-from .complexes import SimplicialComplex, as_graph, build_complex, induced_subcomplex, skeleton
+from .complexes import (
+    MalformedComplexError,
+    SimplicialComplex,
+    as_graph,
+    build_complex,
+    induced_subcomplex,
+    skeleton,
+)
 from .invariants import _gap_sums, cheeger_exact, cutwidth_exact, separation_cut
 from .reporting import CheckRow, all_passed
 
@@ -140,6 +147,17 @@ def _set_limit_error(r_max: int) -> SizeLimitError:
     )
 
 
+def _neighbour_lists(verts, edges):
+    """(vertex -> its index in ``verts``, neighbour indices of each index)
+    of the graph with these sorted vertices and edges."""
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[] for _ in verts]
+    for u, v in edges:
+        nbrs[index[u]].append(index[v])
+        nbrs[index[v]].append(index[u])
+    return index, nbrs
+
+
 def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
     """Connected vertex sets of 1..r_max vertices of a graph, by size.
 
@@ -159,11 +177,7 @@ def _connected_sets(host: SimplicialComplex, r_max: int) -> list:
     top = max(0, min(r_max, n))
     if top and n > PROFILE_SET_LIMIT:  # the single vertices alone pass it
         raise _set_limit_error(r_max)
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[] for _ in verts]
-    for u, v in edges:
-        nbrs[index[u]].append(index[v])
-        nbrs[index[v]].append(index[u])
+    index, nbrs = _neighbour_lists(verts, edges)
     by_size = [[] for _ in range(top + 1)]
     count = 0
     for root in range(n if top else 0):
@@ -243,6 +257,17 @@ def _value_bound(invariant: str, k: int, edges) -> int:
     return min((k + 1) // 2, len(edges) - k + 2)
 
 
+def _memo_value(solved: dict, invariant: str, subset: tuple, edges: tuple) -> int:
+    """The invariant of the graph on ``subset`` with these rank edges, read
+    from ``solved`` (keyed by size and rank edges) or solved and stored."""
+    key = (len(subset), edges)
+    val = solved.get(key)
+    if val is None:
+        sub = build_complex([[subset[i], subset[j]] for i, j in edges], extra_vertices=subset)
+        val = solved[key] = _invariant_value(sub, invariant)
+    return val
+
+
 def profile(
     host: SimplicialComplex,
     invariant: str,
@@ -266,7 +291,11 @@ def profile(
     and calls the solver.  Values and witnesses are those of solving every
     set.
     Candidates mode evaluates only the supplied vertex sets and tags
-    all entries as lower bounds.  Hosts of higher dimension are reduced to
+    all entries as lower bounds.  It refuses a candidate with an id the host
+    lacks, skips one of more than r_max vertices (no row reads it), and cuts
+    each other's edges from the host's neighbour lists, built once, onto
+    ranks for the same memo, so its cost grows with the candidates' sizes
+    and degrees, not with the host.  Hosts of higher dimension are reduced to
     their 1-skeleton first; both invariants only see vertices and edges.
     Either mode refuses r_max past PROFILE_RMAX_LIMIT.
     """
@@ -280,15 +309,29 @@ def profile(
     if host.dimension > 1:
         host = skeleton(host, 1)
 
+    solved = {}  # (k, relabelled edges) -> value, for the sets solved so far
     if mode == "candidates":
         if candidates is None:
             raise ValueError("candidates mode requires candidate vertex sets")
         # Only a candidate of exactly r vertices can raise row r: a smaller
-        # one was weighed at its own row, and the best only grows since.
+        # one was weighed at its own row, and the best only grows since.  So
+        # a candidate of more than r_max vertices is never read.
+        verts, host_edges = as_graph(host)
+        index, nbrs = _neighbour_lists(verts, host_edges)
         by_size = {}
         for cand in candidates:
-            sub = induced_subcomplex(host, cand)
-            by_size.setdefault(len(cand), []).append((tuple(sorted(cand)), _invariant_value(sub, invariant)))
+            unknown = set(cand) - host.vertices
+            if unknown:
+                raise MalformedComplexError(f"unknown vertex ids: {sorted(unknown)}")
+            if len(cand) > r_max:
+                continue
+            members = sorted({index[v] for v in cand})
+            local = {x: i for i, x in enumerate(members)}
+            adj = [sum(1 << local[y] for y in nbrs[x] if y in local) for x in members]
+            edges = _relabelled_edges((1 << len(members)) - 1, adj)
+            subset = tuple(verts[x] for x in members)
+            val = _memo_value(solved, invariant, subset, edges)
+            by_size.setdefault(len(cand), []).append((tuple(sorted(cand)), val))
         entries = {}
         best, witness = 0, ()
         for r in range(r_max + 1):
@@ -303,17 +346,12 @@ def profile(
     by_size = _connected_sets(host, r_max)
     entries = {0: ProfileEntry(0, (), "exact")}
     best, witness = 0, ()
-    solved = {}  # (k, relabelled edges) -> value, for the sets solved so far
     for r in range(1, r_max + 1):
         for subset, mask, adj in by_size[r] if r < len(by_size) else ():
             edges = _relabelled_edges(mask, adj)
             if _value_bound(invariant, r, edges) <= best:
                 continue
-            key = (r, edges)
-            val = solved.get(key)
-            if val is None:
-                sub = build_complex([[subset[i], subset[j]] for i, j in edges], extra_vertices=subset)
-                val = solved[key] = _invariant_value(sub, invariant)
+            val = _memo_value(solved, invariant, subset, edges)
             if val > best:
                 best, witness = val, subset
         entries[r] = ProfileEntry(best, witness, "exact")

@@ -140,16 +140,19 @@ def test_clique_levels_match_brute_force(rng):
             if rng.random() < p:
                 nbrs[u].add(v)
                 nbrs[v].add(u)
-        bound = rng.randint(0, 3 * n)
-
-        def keep(clique):
-            return sum(clique) <= bound
-
         # every level up to `top`, so also whether a level at `top` exists,
         # which is the cap the flag complexes refuse past
         for top in range(1, n + 2):
             assert _clique_levels(nbrs, top) == oracle_cliques(nbrs, top)
-            assert _clique_levels(nbrs, top, keep) == oracle_cliques(nbrs, top, keep)
+
+
+def test_maximal_simplices_match_the_pairwise_definition(rng):
+    """A simplex is maximal when it lies strictly inside no other one."""
+    for _ in range(60):
+        cx = random_complex(rng, n_max=10, deg_max=5)
+        maximal = [s for s in cx.simplices if not any(s < t for t in cx.simplices)]
+        assert cx.maximal_simplices() == sorted(tuple(sorted(s)) for s in maximal)
+    assert build_complex([[0, 1, 2], [2, 3], [4]]).maximal_simplices() == [(0, 1, 2), (2, 3), (4,)]
 
 
 def test_barycentric_matches_chain_oracle(rng):

@@ -94,6 +94,16 @@ def test_complex_round_trip(family):
     assert emit_complex(parse_complex(text)) == text
 
 
+def test_emit_complex_is_linear_on_a_long_path():
+    """Each simplex is checked against its own facets, not against every
+    maximal simplex found so far."""
+    cx = path(20_000)
+    start = time.perf_counter()
+    text = emit_complex(cx)
+    assert time.perf_counter() - start < 1.0
+    assert text.count("\ns ") == 19_999
+
+
 def test_emit_fills_vertex_gaps():
     # ids below the maximum materialise as isolated vertices on reload
     cx = build_complex([[1]])

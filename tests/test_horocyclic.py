@@ -32,11 +32,12 @@ from topoverlap import (
     write_manifest,
 )
 from topoverlap import horocyclic
+from topoverlap.complexes import _clique_levels
 from topoverlap.fileio import emit_csv
 from topoverlap.horocyclic import _measured_k, _one_move_neighbors, parse_manifest
 from topoverlap.reporting import CheckRow, all_passed
 
-from conftest import cycle, oracle_one_move, path, random_complex
+from conftest import cycle, oracle_cliques, oracle_one_move, path, random_complex
 
 
 def test_binary_code_worked_example():
@@ -169,12 +170,12 @@ def _triangle_lattice_levels(d: int, top: int) -> list:
     for i, j in lattice.complex.edges:
         nbrs[i].add(j)
         nbrs[j].add(i)
-    return horocyclic._lattice_cliques(lattice.functions, nbrs, top)
+    return _clique_levels(nbrs, top)
 
 
 def test_D_higher_cliques_refuse_past_the_source_dimension():
     """However many vertices are asked for, the triangle's refinement has no
-    clique whose supports join into a chain past the source dimension 2."""
+    clique past the source dimension 2."""
     for d in (1, 2, 3):
         levels = _triangle_lattice_levels(d, 5)
         assert len(levels) == 3
@@ -192,6 +193,14 @@ def test_map_s_examples():
     assert map_s({(1,): 1, (0, 1): 1}, 1, 1) == ("1", "0")
     # pairs out of canonical order and simplices unsorted give the same word
     assert map_s((((2, 0, 1), 2), ((0,), 2), ((1, 0), 2)), 2, 2) == ("00", "00", "00")
+
+
+def test_map_s_refuses_a_support_set_that_repeats_a_vertex():
+    """`(0, 0)` is refused in either order of the pairs, rather than read as
+    a set of two vertices whose word depends on that order."""
+    for fn in ({(0, 0): 2, (0, 1): 1}, {(0, 1): 1, (0, 0): 2}, {(0, 0, 1): 3}):
+        with pytest.raises(MalformedComplexError, match="repeats a vertex"):
+            map_s(fn, 1, 2)
 
 
 def test_map_s_rejects_bad_functions():
@@ -609,6 +618,69 @@ def test_construction_records_match_golden_digests():
         h = build_H_ell(d, ell)
         text = repr((h.words, sorted(map(sorted, h.complex.simplices))))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_H[d, ell]
+
+
+def test_manifest_reads_support_sets_as_vertex_sets():
+    """A support set written with a repeated vertex is that vertex set, so a
+    line `0-0:w` parses and revalidates like its `0:w` line."""
+    text = write_manifest(coarse_construct(path(3)))
+    lines = text.splitlines()
+    no, line = next((no, ln) for no, ln in enumerate(lines) if ln.startswith("f 0:"))
+    doubled = "\n".join([*lines[:no], "f 0-0" + line[3:], *lines[no + 1 :]]) + "\n"
+    assert parse_manifest(doubled) == parse_manifest(text)
+    assert revalidate_manifest(doubled) == revalidate_manifest(text)
+    assert parse_manifest("h 1 2 3 3 15\nf 1-0-1:4 -> 0000,\n")[5] == ((((0, 1), 4),),)
+
+
+def _chain_join(functions):
+    """Whether the support sets of the functions with these ids join into a
+    chain: the filter the refinement's cliques once had to pass."""
+
+    def keep(ids) -> bool:
+        union = sorted({frozenset(s) for i in ids for s, _ in functions[i]}, key=len)
+        return all(a < b for a, b in zip(union, union[1:]))
+
+    return keep
+
+
+def _star_oracle_cliques(nbrs: dict, top: int, keep) -> list:
+    """``oracle_cliques`` of the whole graph, gathered vertex by vertex: the
+    cliques whose least vertex is v lie in v and its neighbours above it,
+    so each is found by the brute force on that star alone."""
+    levels = [[] for _ in range(top)]
+    for v in sorted(nbrs):
+        star = {v} | {u for u in nbrs[v] if u > v}
+        local = {u: nbrs[u] & star for u in star}
+        for k, level in enumerate(oracle_cliques(local, top, keep)):
+            levels[k].extend(c for c in level if c[0] == v)
+    return [sorted(level) for level in levels if level]
+
+
+def _random_complex_to_dim_3(rng):
+    """One to three random simplices of one to four vertices on at most four
+    vertices, so that the code width stays 2 bits and a 3-simplex fits."""
+    n = rng.randint(1, 4)
+    simplices = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+    return build_complex(simplices, extra_vertices=range(n))
+
+
+def test_refinement_cliques_all_join_into_chains():
+    """Every clique of a lattice record's edges, up to d + 2 vertices, is
+    one whose supports join into a chain, so ``_clique_levels`` on the edges
+    lists exactly what the chain-join filter kept: on the 20 records of the
+    Random(404) recipe and on 16 random complexes up to dimension 3."""
+    rng = random.Random(4043)
+    records = [cc for _, cc in _golden_constructions()]
+    records += [coarse_construct(_random_complex_to_dim_3(rng)) for _ in range(16)]
+    assert {cc.d for cc in records} == {0, 1, 2, 3}
+    for cc in records:
+        nbrs = {i: set() for i in range(len(cc.functions))}
+        for i, j in cc.sub_edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        levels = _clique_levels(nbrs, cc.d + 2)
+        assert levels == _star_oracle_cliques(nbrs, cc.d + 2, _chain_join(cc.functions))
+        assert len(levels) == cc.d + 1
 
 
 def test_revalidation_reports_inadmissible_lines():

@@ -8,6 +8,7 @@ import pytest
 
 from topoverlap import (
     CubeSet,
+    MalformedComplexError,
     SizeLimitError,
     barycentric_subdivision,
     build_complex,
@@ -62,6 +63,13 @@ CASES = [
     (profiles, "PROFILE_RMAX_LIMIT", lambda: profile(path(3), "cutwidth", 7), 7, SizeLimitError),
     (fileio, "HEADER_VERTEX_LIMIT", lambda: fileio.parse_complex("c 7\ns 0 1\n"), 7, ParseError),
     (cubes, "TRANSLATE_LIMIT", lambda: find_translate(CubeSet.of(2, [(0, 0)]), 4, 1), 16, SizeLimitError),
+    (
+        horocyclic,
+        "HEADER_VERTEX_LIMIT",
+        lambda: horocyclic.parse_manifest("h 0 1 7 0 0\n"),
+        7,
+        MalformedComplexError,
+    ),
 ]
 
 

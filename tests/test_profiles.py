@@ -11,6 +11,7 @@ import pytest
 from topoverlap import (
     CertificateRefusal,
     ExpanderCertificate,
+    MalformedComplexError,
     SizeLimitError,
     all_passed,
     build_complex,
@@ -258,6 +259,28 @@ def test_profile_candidates_mode_cost():
     table = profile(host, "cutwidth", PROFILE_RMAX_LIMIT, mode="candidates", candidates=cands)
     assert time.perf_counter() - start < 5
     assert table.value(PROFILE_RMAX_LIMIT) == 0
+
+
+def test_profile_candidates_cost_follows_the_candidates_not_the_host():
+    """2 000 single-vertex candidates on a 20 000-vertex path cut their
+    edges from neighbour lists built once, not from the whole host each."""
+    host = path(20_000)
+    cands = [frozenset((7 * i,)) for i in range(2_000)]
+    start = time.perf_counter()
+    table = profile(host, "cutwidth", 1, mode="candidates", candidates=cands)
+    assert time.perf_counter() - start < 1.0
+    assert table.entries[1] == ProfileEntry(0, (), "lower_bound")
+
+
+def test_profile_candidates_past_r_max_are_skipped_but_checked():
+    """A 30-vertex candidate is past the separation scan's limit, but no
+    row up to r_max = 3 reads it, so the table is returned; an id the host
+    lacks is refused in any candidate."""
+    host = path(40)
+    table = profile(host, "separation", 3, mode="candidates", candidates=[range(30), {0, 1, 2}])
+    assert table.entries[3] == ProfileEntry(1, (0, 1, 2), "lower_bound")
+    with pytest.raises(MalformedComplexError, match=r"unknown vertex ids: \[40\]"):
+        profile(host, "separation", 3, mode="candidates", candidates=[{0, 1}, set(range(35, 41))])
 
 
 @pytest.mark.parametrize("host", [path(5), star(4), cycle(5)])

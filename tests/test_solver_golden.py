@@ -17,9 +17,12 @@ exact orders, the annealer's orders (every comparison and random draw it
 makes depends on the widths it computes), and the sweep overlaps of shuffled
 orders with the ``to1_bounds`` triples.
 
-Graphs of 21 to 24 vertices are left out to keep this file fast: the DP
-takes 1.5 to 5 s and about 150 MB of peak RSS at 24 on a shared 2-core
-machine.
+The DP's largest sizes have their own digest, recorded later with the same
+engines: seeded graphs of 21 to 24 vertices with gapped labels, where the
+DP takes 0.2 to 1.8 s a graph and about 150 MB of peak RSS at 24 on a
+shared 2-core machine, so that an engine that answers these sizes first by
+search must return the DP's orders.  The criterion-9 recipe has no image in
+that range: its 30 images have 2 to 20 or 37 to 184 vertices.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ GOLDEN = {
     "sweep": "3794429cb6b07e6198ce2a35d5ff402e351c8b57ec8a535975d12e8c4a6d2193",
 }
 
+GOLDEN_DP_EDGE = "631198a4a75d8ae77349aae80378229fafa88f0495a80e43a270fff8e788e81a"
+
 TRANSLATE_SHAPES = (
     (2, 3, 1), (2, 4, 1), (2, 4, 2), (3, 3, 1), (3, 3, 2), (3, 4, 1),
     (3, 4, 2), (4, 3, 1), (4, 3, 2), (4, 4, 1), (4, 4, 2),
@@ -81,16 +86,20 @@ def search_graphs():
     return graphs + [grid(r, c) for r, c in shapes]
 
 
+def dp_edge_graphs():
+    rng = random.Random(2124)
+    return [gapped_graph(rng, n, p) for n in range(21, 25) for p in (0.25, 0.5)]
+
+
 def criterion_9_images():
-    """The targets of the criterion-9 recipe, as in test_acceptance, less
-    those of 21 to 24 vertices."""
+    """The targets of the criterion-9 recipe, as in test_acceptance."""
     rng = random.Random(909)
     images = []
     for _ in range(30):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
         images.append(coarse_construct(g).target)
-    return [im for im in images if not 21 <= im.n_vertices <= 24]
+    return images
 
 
 def cutwidth_text(graphs) -> str:
@@ -178,3 +187,7 @@ def digest(text: str) -> str:
 
 def test_solvers_match_golden_digests():
     assert {name: digest(text) for name, text in solver_texts().items()} == GOLDEN
+
+
+def test_dp_edge_orders_match_golden_digest():
+    assert digest(cutwidth_text(dp_edge_graphs())) == GOLDEN_DP_EDGE
