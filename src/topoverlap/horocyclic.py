@@ -19,10 +19,12 @@ measured volume.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._util import SizeLimitError
 from .complexes import (
@@ -139,13 +141,17 @@ def _word_neighbors(w):
                 )
 
 
-def _flag_complex(words, index, d: int, message: str) -> SimplicialComplex:
+def _flag_complex(
+    words, index, d: int, message: str, neighbors=_word_neighbors
+) -> SimplicialComplex:
     """Flag completion of the rule edges among ``words`` (``index`` maps each
-    word tuple to its id): the cliques become the simplices.  A clique of
-    more than d+1 vertices raises ``ConstructionError(message)``."""
+    word tuple to its id, ``neighbors`` yields a word's rule neighbours that
+    shrink one coordinate and grow a later one): the cliques become the
+    simplices.  A clique of more than d+1 vertices raises
+    ``ConstructionError(message)``."""
     nbrs = {i: set() for i in range(len(words))}
     for i, w in enumerate(words):
-        for nb in _word_neighbors(w):
+        for nb in neighbors(w):
             j = index.get(nb)
             if j is not None:
                 nbrs[i].add(j)
@@ -208,16 +214,23 @@ class DLatticeComplex:
     """Lattice refinement of a barycentric complex.
 
     Vertices are the admissible weight functions (``functions[i]`` is the
-    canonical form of vertex i); ``complex`` holds them with the refinement's
-    1-simplices.  ``provenance`` maps each stored simplex to the top of its
-    support chain: the smallest original simplex carrying it.
+    canonical form of vertex i).  ``pairs`` lists each refinement edge once
+    as (lower end, upper end), the upper end one move up from the lower, and
+    ``edges`` the same edges as sorted (u, v) pairs with u < v.  ``complex``
+    holds the vertices with these 1-simplices.
     """
 
     d: int
     ell: int
     functions: tuple
-    complex: SimplicialComplex
-    provenance: dict
+    pairs: tuple
+    edges: tuple
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        vertices = frozenset(range(len(self.functions)))
+        simplices = {frozenset((i,)) for i in vertices} | set(map(frozenset, self.edges))
+        return SimplicialComplex(vertices, frozenset(simplices))
 
 
 def build_D_ell(bary: SimplicialComplex, labels: dict, ell: int, d: int) -> DLatticeComplex:
@@ -235,36 +248,49 @@ def build_D_ell(bary: SimplicialComplex, labels: dict, ell: int, d: int) -> DLat
     if expected > DEFAULT_VERTEX_LIMIT:
         raise _vertex_limit_error(expected)
 
-    functions = []
+    supports = []  # per chain, its sets as sorted tuples by size
+    made = []  # (function, chain number, weights)
     for chain in chains:
         sets = sorted((labels[m] for m in chain), key=len)
         if not _support_is_chain(sets):
             raise ConstructionError(f"barycentric simplex {sorted(chain)} is not a chain")
         # the sets of a chain differ in size, so the order by size is canonical
-        keys = [tuple(sorted(s)) for s in sets]
+        keys = tuple(tuple(sorted(s)) for s in sets)
         for cut in itertools.combinations(range(1, total), len(sets) - 1):
             bounds = (0, *cut, total)
-            functions.append(tuple(zip(keys, (b - a for a, b in zip(bounds, bounds[1:])))))
-    functions.sort()
-    index = {f: i for i, f in enumerate(functions)}
-    if not len(index) == len(functions) == expected:
+            weights = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+            made.append((tuple(zip(keys, weights)), len(supports), weights))
+        supports.append(keys)
+    made.sort(key=lambda row: row[0])
+    functions = tuple(fn for fn, _, _ in made)
+    # position[c][weights] is the vertex of weights on chain c
+    position: list = [{} for _ in supports]
+    for i, (_, c, weights) in enumerate(made):
+        position[c][weights] = i
+    distinct = sum(map(len, position))
+    if not distinct == len(functions) == expected:
         raise ConstructionError(
-            f"{len(index)} distinct of {len(functions)} weight functions, expected {expected}"
+            f"{distinct} distinct of {len(functions)} weight functions, expected {expected}"
         )
 
     # on a barycentric subdivision, a set comparable with every support set
     # is exactly a label whose join with the support chain is a simplex
     sets = tuple(labels.values())
     cache: dict = {}
-    top_of = [frozenset(fn[-1][0]) for fn in functions]  # canonical order puts the largest set last
-    provenance = {frozenset((i,)): top for i, top in enumerate(top_of)}
-    for i, fn in enumerate(functions):
-        for neighbor in _one_move_neighbors(fn, sets, cache):
-            # a move up never shrinks the top, so the upper end's top is the larger
-            j = index[neighbor]
-            provenance[frozenset((i, j))] = top_of[j]
+    chain_of = {keys: c for c, keys in enumerate(supports)}
+    moves = [_chain_moves(keys, sets, cache, chain_of) for keys in supports]
+    pairs = []
+    degree = [0] * len(functions)
+    for i, (_, c, weights) in enumerate(made):
+        for neighbor, upper in _moves_up(weights, moves[c]):
+            j = position[upper][neighbor]
+            pairs.append((i, j))
+            degree[i] += 1
+            degree[j] += 1
+    edges = sorted((i, j) if i < j else (j, i) for i, j in pairs)
+    if any(a == b for a, b in zip(edges, edges[1:])):
+        raise ConstructionError("a refinement edge was found twice")
 
-    cx = SimplicialComplex(frozenset(range(len(functions))), frozenset(provenance))
     original = set(map(frozenset, labels.values()))
     deg_counts: dict = {}
     for s in original:
@@ -272,14 +298,66 @@ def build_D_ell(bary: SimplicialComplex, labels: dict, ell: int, d: int) -> DLat
             for v in s:
                 deg_counts[v] = deg_counts.get(v, 0) + 1
     delta = max(deg_counts.values(), default=0)
-    if cx.degree > delta * 2**delta:
+    if max(degree, default=0) > delta * 2**delta:
         raise ConstructionError(
-            f"refinement degree {cx.degree} exceeds delta * 2^delta for delta {delta}"
+            f"refinement degree {max(degree)} exceeds delta * 2^delta for delta {delta}"
         )
     if len(functions) > len(bary.simplices) * (total + 1) ** d:
         raise ConstructionError(f"{len(functions)} weight functions exceed chains*((d+1)ell+1)^d")
-    _check_dimension_witness(chains, labels, index, total, d, cache)
-    return DLatticeComplex(d, ell, tuple(functions), cx, provenance)
+    _check_dimension_witness(chains, labels, functions, total, d, cache)
+    return DLatticeComplex(d, ell, functions, tuple(pairs), tuple(edges))
+
+
+def _move_targets(support, sets, cache: dict) -> list:
+    """The sets of ``sets`` that a unit of weight may move to from the
+    chain ``support`` (its sets by size): those larger than its least set
+    and comparable with every support set, so the support stays a chain.
+    Each comes with its size, its position q by size (the number of support
+    sets below it) and whether it is a support set; ``cache`` keeps them per
+    support.  The support sets differ in size, so a set is comparable with
+    all of them exactly when it contains set q - 1 and lies in set q."""
+    targets = cache.get(support)
+    if targets is None:
+        chain = [frozenset(s) for s in support]
+        sizes = [len(s) for s in chain]
+        targets = cache[support] = []
+        for t in sets:
+            q = bisect.bisect_left(sizes, len(t))
+            if q and chain[q - 1] <= t and (q == len(chain) or t <= chain[q]):
+                present = q < len(chain) and sizes[q] == len(t)
+                targets.append((len(t), q, present, tuple(sorted(t))))
+    return targets
+
+
+def _chain_moves(support, sets, cache: dict, chain_of: dict) -> list:
+    """The moves up from a function on ``support`` as
+    (p, q, present, keep, drop): a unit leaves the set at position p for the
+    set at position q of the new support (``present`` when it is already a
+    support set), and the new support is chain ``keep``, or chain ``drop``
+    when the unit was the last at p.  The order is that of
+    :func:`_one_move_neighbors`."""
+    moves = []
+    for p, dec in enumerate(support):
+        for size, q, present, inc in _move_targets(support, sets, cache):
+            if size <= len(dec):
+                continue
+            grown = support if present else support[:q] + (inc,) + support[q:]
+            moves.append((p, q, present, chain_of[grown], chain_of[grown[:p] + grown[p + 1 :]]))
+    return moves
+
+
+def _moves_up(weights, moves):
+    """(weights, chain) of each function one move up from the function of
+    ``weights`` on the chain whose ``moves`` are given: ``weights`` spliced
+    as :func:`_one_move_neighbors` splices the pairs."""
+    for p, q, present, keep, drop in moves:
+        left = weights[p] - 1
+        head = weights[:p] + (left,) if left else weights[:p]
+        if present:
+            spliced = head + weights[p + 1 : q] + (weights[q] + 1,) + weights[q + 1 :]
+        else:
+            spliced = head + weights[p + 1 : q] + (1,) + weights[q:]
+        yield spliced, keep if left else drop
 
 
 def _one_move_neighbors(fn, sets, cache: dict):
@@ -288,18 +366,8 @@ def _one_move_neighbors(fn, sets, cache: dict):
     of ``sets`` comparable with every support set, so the support stays a
     chain.  Comparable sets differ in size, so each refinement edge is one
     move up from its lower end, and each neighbour is ``fn`` spliced at the
-    two sets' positions by size.  ``cache`` keeps the target sets per
-    support, each with its size, its position by size and whether it is a
-    support set."""
-    support = tuple(s for s, _ in fn)
-    targets = cache.get(support)
-    if targets is None:
-        chain = [frozenset(s) for s in support]
-        targets = cache[support] = [
-            (len(t), sum(len(s) < len(t) for s in chain), t in chain, tuple(sorted(t)))
-            for t in sets
-            if all(t <= s or s <= t for s in chain)
-        ]
+    two sets' positions by size (see :func:`_move_targets`)."""
+    targets = _move_targets(tuple(s for s, _ in fn), sets, cache)
     for p, (dec, cnt) in enumerate(fn):
         head = fn[:p] + ((dec, cnt - 1),) if cnt > 1 else fn[:p]
         for size, q, present, inc in targets:
@@ -311,9 +379,10 @@ def _one_move_neighbors(fn, sets, cache: dict):
                 yield head + fn[p + 1 : q] + ((inc, 1),) + fn[q:]
 
 
-def _check_dimension_witness(chains, labels, index, total, d, cache):
+def _check_dimension_witness(chains, labels, functions, total, d, cache):
     """The refinement reaches the source dimension: the corner cells of any
-    longest chain give d+1 pairwise one-move functions, all admissible."""
+    longest chain give d+1 pairwise one-move functions, all among the sorted
+    ``functions``."""
     if d == 0 or total < 2:
         return
     longest = max(chains, key=len)
@@ -323,8 +392,10 @@ def _check_dimension_witness(chains, labels, index, total, d, cache):
     witness = [_canonical_function([(sets[0], total)])]
     for t in range(1, d + 1):
         witness.append(_canonical_function([(sets[0], total - 1), (sets[t], 1)]))
-    if not all(fn in index for fn in witness):
-        raise ConstructionError("a corner cell of a longest chain is not a refinement vertex")
+    for fn in witness:
+        i = bisect.bisect_left(functions, fn)
+        if i == len(functions) or functions[i] != fn:
+            raise ConstructionError("a corner cell of a longest chain is not a refinement vertex")
     for a, b in itertools.combinations(witness, 2):
         if b not in set(_one_move_neighbors(a, labels.values(), cache)):
             raise ConstructionError("corner cells of a longest chain are not one move apart")
@@ -353,6 +424,116 @@ def map_s(fn, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
         ids = [vertex_id_of[v] for v in simplex] if vertex_id_of else list(simplex)
         words[card - 1] = binary_code(min(ids), weight, ell, d)
     return tuple(words)
+
+
+# The packed coding map.  The word binary_code(k, w, ell, d) of a set with
+# minimal id k and weight w is coded as the integer (w << ell) | x, where x is
+# k when w >= ell (the word repeats k's ell bits) and k's top w bits when
+# w < ell (the word is those bits).  Two codes are equal exactly when their
+# words are, codes of one length sort like their words, and 0 codes the empty
+# word.  A packed word is the tuple of its d+1 codes; revalidate_manifest keeps
+# only the codes of the support sets, next to their coordinates.
+
+
+def _chain_coder(support, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
+    """:func:`map_s`'s checks on one support chain, made once for every
+    function on it: the sets form a chain, each has at most d+1 vertices and
+    repeats none, and each minimal id fits in ell bits.  Returns
+    (coordinates, minimal ids), one entry per set in the order given: the
+    set of j+1 vertices is coded at coordinate j."""
+    if not _support_is_chain(support):
+        raise MalformedComplexError("support is not a chain")
+    coords, ids = [], []
+    for simplex in support:
+        card = len(simplex)
+        if card > d + 1:
+            raise MalformedComplexError("support set larger than d+1")
+        if len(set(simplex)) != card:
+            raise MalformedComplexError("support set repeats a vertex")
+        k = min(vertex_id_of[v] for v in simplex) if vertex_id_of else min(simplex)
+        if not 0 <= k < 2**ell:
+            raise EncodingError(f"id {k} does not fit in {ell} bits")
+        coords.append(card - 1)
+        ids.append(k)
+    return tuple(coords), tuple(ids)
+
+
+def _code_row(ids, weights, ell: int, total: int) -> tuple:
+    """Codes of one function's support sets, given the chain's minimal ids,
+    after the checks that are the function's own: its weights are positive
+    and sum to ``total``."""
+    if any(w <= 0 for w in weights):
+        raise MalformedComplexError("weights must be positive")
+    if sum(weights) != total:
+        raise MalformedComplexError(f"total weight must be {total}")
+    return tuple((w << ell) | (k if w >= ell else k >> (ell - w)) for k, w in zip(ids, weights))
+
+
+def _code_chain(support, rows, ell: int, d: int, vertex_id_of: dict | None = None) -> list:
+    """The packed word of each function on one support chain, each given by
+    its weights in ``rows``: the chain is checked once, each row only for
+    its weights."""
+    coords, ids = _chain_coder(support, ell, d, vertex_id_of)
+    total = (d + 1) * ell
+    empty = [0] * (d + 1)
+    words = []
+    for weights in rows:
+        word = empty.copy()
+        for j, code in zip(coords, _code_row(ids, weights, ell, total)):
+            word[j] = code
+        words.append(tuple(word))
+    return words
+
+
+def _render(code: int, ell: int) -> str:
+    """The word a code stands for."""
+    w, k = code >> ell, code & ((1 << ell) - 1)
+    if w < ell:
+        return format(k, f"0{w}b") if w else ""
+    return (format(k, f"0{ell}b") * (w // ell + 1))[:w]
+
+
+def _code_extends(x: int, y: int, ell: int) -> bool:
+    """Whether the word of code x is that of code y plus one character."""
+    if x >> ell != (y >> ell) + 1:
+        return False
+    mask = (1 << ell) - 1
+    # past ell characters a word is fixed by its id; below, y's bits are x's but the last
+    return (x & mask) == (y & mask) if x >> ell > ell else (x & mask) >> 1 == y & mask
+
+
+def _packed_adjacent(a, b, ell: int) -> bool:
+    """:func:`words_adjacent` on packed words given as (coordinates, codes),
+    where a coordinate left out holds the empty word."""
+    ca, cb = dict(zip(*a)), dict(zip(*b))
+    diff = [j for j in ca.keys() | cb.keys() if ca.get(j, 0) != cb.get(j, 0)]
+    if len(diff) != 2:
+        return False
+    (ai, aj), (bi, bj) = [ca.get(t, 0) for t in diff], [cb.get(t, 0) for t in diff]
+    return (_code_extends(ai, bi, ell) and _code_extends(bj, aj, ell)) or (
+        _code_extends(bi, ai, ell) and _code_extends(aj, bj, ell)
+    )
+
+
+def _code_neighbors(word, ell: int):
+    """:func:`_word_neighbors` on a tuple of codes, yielding only tuples of
+    codes: past ell characters a word grows only by the next bit of its id,
+    since the other character leads out of the coding map's words."""
+    mask = (1 << ell) - 1
+    arity = len(word)
+    for j in range(arity):
+        w, x = word[j] >> ell, word[j] & mask
+        if not w:
+            continue
+        shrunk = ((w - 1) << ell) | (x if w > ell else x >> 1)
+        for k in range(j + 1, arity):
+            w2, x2 = word[k] >> ell, word[k] & mask
+            if w2 < ell:
+                grown = (((w2 + 1) << ell) | (x2 << 1), ((w2 + 1) << ell) | (x2 << 1) | 1)
+            else:
+                grown = (((w2 + 1) << ell) | x2,)
+            for code in grown:
+                yield word[:j] + (shrunk,) + word[j + 1 : k] + (code,) + word[k + 1 :]
 
 
 @dataclass(frozen=True)
@@ -439,28 +620,63 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
         raise _vertex_limit_error(count)
     bary, labels = barycentric_subdivision(z)
     lattice = build_D_ell(bary, labels, ell, d)
+    functions = lattice.functions
 
-    words = [map_s(fn, ell, d, relabel) for fn in lattice.functions]
-    image = sorted(set(words), key=lambda w: (tuple(len(x) for x in w), w))
+    # a word depends on each support set's size and minimal id and on the
+    # weights, so each support chain is checked and coded once
+    members: dict = {}
+    for i, fn in enumerate(functions):
+        members.setdefault(tuple(s for s, _ in fn), []).append(i)
+    words = [None] * len(functions)
+    top_of = [0] * len(functions)  # number of each function's top among the tops
+    tops: dict = {}
+    for support, ids in members.items():
+        rows = [tuple(w for _, w in functions[i]) for i in ids]
+        top = tops.setdefault(support[-1], len(tops))  # the largest set is last
+        for i, word in zip(ids, _code_chain(support, rows, ell, d, relabel)):
+            words[i] = word
+            top_of[i] = top
+    image = sorted(set(words), key=lambda w: (tuple(code >> ell for code in w), w))
     target_id = {w: t for t, w in enumerate(image)}
     vertex_map = tuple(target_id[w] for w in words)
 
-    target = _flag_complex(image, target_id, d, "image spans a simplex above the source dimension")
-    # _word_neighbors yields each rule edge from exactly one of its ends, so
-    # the target's edges are exactly the words_adjacent pairs of image words.
-    sub_edges = lattice.complex.edges
+    target = _flag_complex(
+        image,
+        target_id,
+        d,
+        "image spans a simplex above the source dimension",
+        lambda word: _code_neighbors(word, ell),
+    )
+    # _code_neighbors yields each rule edge from exactly one of its ends, so
+    # the target's edges are exactly the adjacent pairs of image words.
+    target_edges = set(target.edges)
+    sub_edges = lattice.edges
     for i, j in sub_edges:
         a, b = vertex_map[i], vertex_map[j]
-        if a != b and frozenset((a, b)) not in target:
+        if a != b and ((a, b) if a < b else (b, a)) not in target_edges:
             raise ConstructionError(f"coding map is not simplicial on refinement edge {i}-{j}")
 
-    provsets = {simplex: frozenset((prov,)) for simplex, prov in lattice.provenance.items()}
-    measured = _measured_k(target, vertex_map, sub_edges, provsets)
+    # a vertex is carried by its top, an edge by its upper end's top (a move
+    # up never shrinks the top); reach[t] has a bit for each top carrying a
+    # cell whose image meets target vertex t
+    carriers = [frozenset((frozenset(top),)) for top in tops]
+    provsets = {frozenset((i,)): carriers[top] for i, top in enumerate(top_of)}
+    reach = [0] * len(image)
+    for i, top in enumerate(top_of):
+        reach[vertex_map[i]] |= 1 << top
+    for pair in lattice.pairs:
+        upper = top_of[pair[1]]
+        provsets[frozenset(pair)] = carriers[upper]
+        reach[vertex_map[pair[0]]] |= 1 << upper
+    measured = 0
+    for simplex in target.simplices:
+        hit = 0
+        for t in simplex:
+            hit |= reach[t]
+        measured = max(measured, hit.bit_count())
     volume = len(image)
-    if volume > len(lattice.functions):
-        raise ConstructionError(
-            f"volume {volume} exceeds {len(lattice.functions)} refinement vertices"
-        )
+    if volume > len(functions):
+        raise ConstructionError(f"volume {volume} exceeds {len(functions)} refinement vertices")
     if measured > 2**z.degree:
         raise ConstructionError(f"measured_k {measured} exceeds 2^degree = {2**z.degree}")
     return CoarseConstruction(
@@ -468,12 +684,12 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
         source=z,
         d=d,
         ell=ell,
-        functions=lattice.functions,
+        functions=functions,
         sub_edges=sub_edges,
         vertex_map=vertex_map,
         provsets=provsets,
         target=target,
-        target_words={t: w for t, w in enumerate(image)},
+        target_words={t: tuple(_render(code, ell) for code in w) for t, w in enumerate(image)},
         measured_k=measured,
         volume=volume,
     )
@@ -641,12 +857,16 @@ def write_manifest(cc: CoarseConstruction) -> str:
         raise ConstructionError("only directly constructed records have manifests")
     relabel = {v: i for i, v in enumerate(sorted(cc.source.vertices))}
     lines = [f"h {cc.d} {cc.ell} {cc.source.n_vertices} {cc.measured_k} {cc.volume}"]
-    for i, fn in enumerate(cc.functions):
-        pairs = " ".join(
-            "-".join(str(relabel[v]) for v in simplex) + f":{cnt}" for simplex, cnt in fn
-        )
-        word = ",".join(cc.target_words[cc.vertex_map[i]])
-        lines.append(f"f {pairs} -> {word}")
+    written: dict = {}  # support set -> its ids as written
+    words = {t: ",".join(word) for t, word in cc.target_words.items()}
+    for fn, t in zip(cc.functions, cc.vertex_map):
+        parts = []
+        for simplex, cnt in fn:
+            ids = written.get(simplex)
+            if ids is None:
+                ids = written[simplex] = "-".join(str(relabel[v]) for v in simplex)
+            parts.append(f"{ids}:{cnt}")
+        lines.append(f"f {' '.join(parts)} -> {words[t]}")
     return "\n".join(lines) + "\n"
 
 
@@ -700,25 +920,44 @@ def revalidate_manifest(text: str) -> list:
     d, ell, n, k_claim, vol_claim, functions, words = parse_manifest(text)
     rows = []
 
-    admitted = []  # (function, recorded word, recomputed word) of each admissible line
+    # each support chain is checked once, and each admissible line keeps its
+    # word packed as (coordinates, codes) of its support sets, so memory
+    # follows the manifest's size rather than the header's d and ell
+    coders: dict = {}  # support -> (coordinates, minimal ids), None if refused
+
+    def packed(fn):
+        support = tuple(s for s, _ in fn)
+        if support not in coders:
+            try:
+                coders[support] = _chain_coder(support, ell, d)
+            except (MalformedComplexError, EncodingError):
+                coders[support] = None
+        if coders[support] is None:
+            return None
+        coords, ids = coders[support]
+        try:
+            return coords, _code_row(ids, [w for _, w in fn], ell, (d + 1) * ell)
+        except MalformedComplexError:
+            return None
+
+    admitted = []  # (function, recorded word, packed word) of each admissible line
     for fn, word in zip(functions, words):
         if all(0 <= v < n for s, _ in fn for v in s):
-            try:
-                admitted.append((fn, word, map_s(fn, ell, d)))
-            except (MalformedComplexError, EncodingError):
-                pass
+            mapped = packed(fn)
+            if mapped is not None:
+                admitted.append((fn, word, mapped))
     bad_fn = len(functions) - len(admitted)
     rows.append(CheckRow("functions admissible", bad_fn, 0, bad_fn == 0))
 
     recomputed = [mapped for _, _, mapped in admitted]
-    mismatches = sum(1 for _, word, mapped in admitted if word != mapped)
+    mismatches = sum(1 for _, word, mapped in admitted if not _word_matches(word, mapped, ell, d))
     rows.append(CheckRow("words match coding map", mismatches, 0, mismatches == 0))
 
-    # map_s accepted every admitted function, so its support is a chain, and
-    # parse_manifest put it in the canonical form the one-move relation
-    # splices.  A manifest may repeat a function, so each function keeps the
-    # list of its lines.  Each pair of lines one move apart is one move up
-    # from exactly one of them, so it is counted once.
+    # the coding map accepted every admitted function, so its support is a
+    # chain, and parse_manifest put it in the canonical form the one-move
+    # relation splices.  A manifest may repeat a function, so each function
+    # keeps the list of its lines.  Each pair of lines one move apart is one
+    # move up from exactly one of them, so it is counted once.
     lines_of: dict = {}
     for i, (fn, _, _) in enumerate(admitted):
         lines_of.setdefault(fn, []).append(i)
@@ -728,10 +967,24 @@ def revalidate_manifest(text: str) -> list:
     for i, (fn, _, _) in enumerate(admitted):
         for neighbor in _one_move_neighbors(fn, sets, cache):
             for j in lines_of.get(neighbor, ()):
-                if recomputed[i] != recomputed[j] and not words_adjacent(recomputed[i], recomputed[j]):
+                a, b = recomputed[i], recomputed[j]
+                if a != b and not _packed_adjacent(a, b, ell):
                     bad_edges += 1
     rows.append(CheckRow("simplicial on rebuilt edges", bad_edges, 0, bad_edges == 0))
 
     vol = len(set(recomputed))
     rows.append(CheckRow("volume matches header", vol, vol_claim, vol == vol_claim))
     return rows
+
+
+def _word_matches(word, mapped, ell: int, d: int) -> bool:
+    """Whether a recorded word tuple is the packed word ``mapped``, given as
+    (coordinates, codes).  The coordinate count and every length are
+    compared before any word is rendered, so no rendered word is longer
+    than the recorded one."""
+    if len(word) != d + 1:
+        return False
+    length = {j: code >> ell for j, code in zip(*mapped)}
+    if any(len(x) != length.get(j, 0) for j, x in enumerate(word)):
+        return False
+    return all(word[j] == _render(code, ell) for j, code in zip(*mapped))

@@ -240,15 +240,19 @@ def test_construct_triangle_interference_bound():
 def test_construct_raises_on_a_non_simplicial_coding_map(monkeypatch):
     """Negative control: the first refinement vertex is sent to the empty
     word tuple, which no rule edge reaches, so its refinement edges have no
-    image edge."""
-    real = horocyclic.map_s
+    image edge.  Chains are coded in the order of their first function, so
+    the first call codes vertex 0 first; code 0 is the empty word."""
+    real = horocyclic._code_chain
     seen = []
 
-    def far_first(fn, ell, d, vertex_id_of=None):
-        seen.append(fn)
-        return ("",) * (d + 1) if len(seen) == 1 else real(fn, ell, d, vertex_id_of)
+    def far_first(support, rows, ell, d, vertex_id_of=None):
+        words = real(support, rows, ell, d, vertex_id_of)
+        seen.append(support)
+        if len(seen) == 1:
+            words[0] = (0,) * (d + 1)
+        return words
 
-    monkeypatch.setattr(horocyclic, "map_s", far_first)
+    monkeypatch.setattr(horocyclic, "_code_chain", far_first)
     with pytest.raises(ConstructionError, match="coding map is not simplicial on refinement edge 0-"):
         coarse_construct(build_complex([[0, 1]]))
 
@@ -460,8 +464,9 @@ def test_one_move_generator_matches_refinement_edges_and_oracle():
 def test_revalidation_matches_oracle_recount(monkeypatch):
     """The rows equal a pair-scan recount on clean manifests, manifests with
     swapped words and manifests with a repeated line.  With every word pair
-    declared non-adjacent, the rebuilt-edge row counts the rebuilt edges
-    themselves, each pair of lines once."""
+    declared non-adjacent (the rebuilt edges are checked on packed words),
+    the rebuilt-edge row counts the rebuilt edges themselves, each pair of
+    lines once."""
     sizes = []
     rebuilt = 0
     for cx in _one_move_cases():
@@ -470,7 +475,7 @@ def test_revalidation_matches_oracle_recount(monkeypatch):
         for variant in _manifest_variants(text):
             assert revalidate_manifest(variant) == _oracle_revalidation(variant, words_adjacent)
             with monkeypatch.context() as m:
-                m.setattr(horocyclic, "words_adjacent", lambda a, b: False)
+                m.setattr(horocyclic, "_packed_adjacent", lambda a, b, ell: False)
                 rows = revalidate_manifest(variant)
             assert rows == _oracle_revalidation(variant, lambda a, b: False)
             rebuilt += rows[2].lhs
@@ -755,3 +760,146 @@ def test_revalidation_of_an_empty_source_header():
             CheckRow("simplicial on rebuilt edges", 0, 0, True),
             CheckRow("volume matches header", 0, 0, True),
         ]
+
+
+def test_revalidation_memory_follows_the_input():
+    """Ten 17-byte lines under `h 99999 17 100000 0 1` each code a word of
+    100 000 coordinates and 1.7 M characters.  The recorded word `x` has one
+    coordinate, so each line is a mismatch found before any of its word is
+    built, and the rows read as before."""
+    text = "h 99999 17 100000 0 1\n" + "f 0:1700000 -> x\n" * 10
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rows = revalidate_manifest(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert [row.lhs for row in rows] == [0, 10, 0, 1]
+    assert peak < 2 * 2**20
+
+
+def _recipe_complex_with_fvector(seed: int, fvector: tuple):
+    """The first draw of the criterion-4 recipe with n <= 8 whose numbers of
+    vertices, edges and triangles are ``fvector``."""
+    rng = random.Random(seed)
+    while True:
+        cx = random_complex(rng, n_max=8, deg_max=6)
+        sizes = [len(s) for s in cx.simplices]
+        if tuple(sizes.count(k) for k in (1, 2, 3)) == fvector:
+            return cx
+
+
+def test_construct_codes_each_support_chain_once(monkeypatch):
+    """coarse_construct runs the coding map per support chain: on a recipe
+    complex with f-vector (7, 20, 21) it calls map_s 0 times, checks each
+    distinct support once and codes each function once."""
+    cx = _recipe_complex_with_fvector(2200, (7, 20, 21))
+    map_s_calls, checked, coded = [], [], []
+    real_map_s, real_coder, real_code_chain = map_s, horocyclic._chain_coder, horocyclic._code_chain
+
+    def counting_map_s(*args, **kwargs):
+        map_s_calls.append(args)
+        return real_map_s(*args, **kwargs)
+
+    def counting_coder(support, *args):
+        checked.append(support)
+        return real_coder(support, *args)
+
+    def counting_code_chain(support, rows, *args):
+        coded.extend(rows)
+        return real_code_chain(support, rows, *args)
+
+    monkeypatch.setattr(horocyclic, "map_s", counting_map_s)
+    monkeypatch.setattr(horocyclic, "_chain_coder", counting_coder)
+    monkeypatch.setattr(horocyclic, "_code_chain", counting_code_chain)
+    cc = coarse_construct(cx)
+    supports = {tuple(s for s, _ in fn) for fn in cc.functions}
+    assert map_s_calls == []
+    assert len(checked) == len(supports) and set(checked) == supports
+    assert len(coded) == len(cc.functions)
+
+
+def test_D_raises_on_an_edge_found_twice(monkeypatch):
+    """Negative control: every move up is generated twice."""
+    real = horocyclic._moves_up
+
+    def twice(weights, moves):
+        return [*real(weights, moves)] * 2
+
+    monkeypatch.setattr(horocyclic, "_moves_up", twice)
+    bary, labels = barycentric_subdivision(build_complex([[0, 1]]))
+    with pytest.raises(ConstructionError, match="a refinement edge was found twice"):
+        build_D_ell(bary, labels, 1, 1)
+
+
+def test_rendered_words_match_map_s_on_golden_records():
+    """The packed coding map renders, for every function of the 20
+    Random(404) records, the word map_s gives."""
+    for z, cc in _golden_constructions():
+        relabel = {v: i for i, v in enumerate(sorted(z.vertices))}
+        for fn, t in zip(cc.functions, cc.vertex_map):
+            assert cc.target_words[t] == map_s(fn, cc.ell, cc.d, relabel)
+
+
+def _packed(k: int, w: int, ell: int) -> int:
+    """The code of binary_code(k, w, ell, d) as the coding map packs it; a
+    coordinate with no support set (weight 0) holds code 0."""
+    return horocyclic._code_row((k,), (w,), ell, w)[0] if w else 0
+
+
+def _is_code_word(x: str, ell: int) -> bool:
+    """Whether a string is binary_code of some id: past ell characters it
+    repeats its first ell."""
+    return len(x) <= ell or x == (x[:ell] * (len(x) // ell + 1))[: len(x)]
+
+
+def test_packed_codes_agree_with_words():
+    """On seeded codes with d <= 3, ell <= 5, weights 0..(d+1)*ell and ids
+    that need the full width: codes are equal, ordered within one length
+    and one character longer exactly as their words are; packed adjacency is
+    words_adjacent; and the code neighbours of a word are its rule
+    neighbours that are words of the coding map."""
+    rng = random.Random(2202)
+    for _ in range(300):
+        d, ell = rng.randint(0, 3), rng.randint(1, 5)
+        total = (d + 1) * ell
+        # half the ids have their top bit set, so they need all ell bits
+        pairs = [
+            (rng.randrange(2 ** (ell - 1) if rng.random() < 0.5 else 0, 2**ell), w)
+            for w in (rng.randint(0, total) for _ in range(12))
+        ]
+        # near misses: one character shorter, or the id's last bit flipped
+        pairs += [(k, w - 1) for k, w in pairs if w] + [(k ^ 1, w) for k, w in pairs]
+        codes = [_packed(k, w, ell) for k, w in pairs]
+        words = [binary_code(k, w, ell, d) for k, w in pairs]
+        assert [horocyclic._render(c, ell) for c in codes] == words
+        for (x, s), (y, t) in itertools.product(zip(codes, words), repeat=2):
+            assert (x == y) == (s == t)
+            if len(s) == len(t):
+                assert (x < y) == (s < t)
+            assert horocyclic._code_extends(x, y, ell) == (len(s) == len(t) + 1 and s.startswith(t))
+
+        coords = tuple(range(d + 1))
+        for _ in range(20):
+            a = [rng.choice(pairs) for _ in coords]
+            b = list(a)
+            i, j = rng.sample(coords, 2) if d else (0, 0)
+            k_i, w_i = b[i]
+            k_j, w_j = b[j]
+            if w_i and w_j < total:
+                b[i] = (k_i, w_i - 1)
+                b[j] = (k_j if rng.random() < 0.8 else rng.randrange(2**ell), w_j + 1)
+            ca = tuple(_packed(k, w, ell) for k, w in a)
+            cb = tuple(_packed(k, w, ell) for k, w in b)
+            sa = tuple(binary_code(k, w, ell, d) for k, w in a)
+            sb = tuple(binary_code(k, w, ell, d) for k, w in b)
+            adjacent = horocyclic._packed_adjacent((coords, ca), (coords, cb), ell)
+            assert adjacent == words_adjacent(sa, sb)
+            rendered = {
+                tuple(horocyclic._render(c, ell) for c in nb)
+                for nb in horocyclic._code_neighbors(ca, ell)
+            }
+            rule = horocyclic._word_neighbors(sa)
+            assert rendered == {nb for nb in rule if all(_is_code_word(x, ell) for x in nb)}
