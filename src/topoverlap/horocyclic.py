@@ -432,7 +432,7 @@ def map_s(fn, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
 # w < ell (the word is those bits).  Two codes are equal exactly when their
 # words are, codes of one length sort like their words, and 0 codes the empty
 # word.  A packed word is the tuple of its d+1 codes; revalidate_manifest keeps
-# only the codes of the support sets, next to their coordinates.
+# only the (coordinate, code) pairs of the support sets.
 
 
 def _chain_coder(support, ell: int, d: int, vertex_id_of: dict | None = None) -> tuple:
@@ -503,13 +503,13 @@ def _code_extends(x: int, y: int, ell: int) -> bool:
 
 
 def _packed_adjacent(a, b, ell: int) -> bool:
-    """:func:`words_adjacent` on packed words given as (coordinates, codes),
-    where a coordinate left out holds the empty word."""
-    ca, cb = dict(zip(*a)), dict(zip(*b))
+    """:func:`words_adjacent` on packed words given as (coordinate, code)
+    pairs, where a coordinate left out holds the empty word."""
+    ca, cb = dict(a), dict(b)
     diff = [j for j in ca.keys() | cb.keys() if ca.get(j, 0) != cb.get(j, 0)]
     if len(diff) != 2:
         return False
-    (ai, aj), (bi, bj) = [ca.get(t, 0) for t in diff], [cb.get(t, 0) for t in diff]
+    (ai, aj), (bi, bj) = [ca.get(j, 0) for j in diff], [cb.get(j, 0) for j in diff]
     return (_code_extends(ai, bi, ell) and _code_extends(bj, aj, ell)) or (
         _code_extends(bi, ai, ell) and _code_extends(aj, bj, ell)
     )
@@ -921,8 +921,8 @@ def revalidate_manifest(text: str) -> list:
     rows = []
 
     # each support chain is checked once, and each admissible line keeps its
-    # word packed as (coordinates, codes) of its support sets, so memory
-    # follows the manifest's size rather than the header's d and ell
+    # word packed as the (coordinate, code) pairs of its support sets, so
+    # memory follows the manifest's size rather than the header's d and ell
     coders: dict = {}  # support -> (coordinates, minimal ids), None if refused
 
     def packed(fn):
@@ -936,7 +936,7 @@ def revalidate_manifest(text: str) -> list:
             return None
         coords, ids = coders[support]
         try:
-            return coords, _code_row(ids, [w for _, w in fn], ell, (d + 1) * ell)
+            return tuple(zip(coords, _code_row(ids, [w for _, w in fn], ell, (d + 1) * ell)))
         except MalformedComplexError:
             return None
 
@@ -949,7 +949,6 @@ def revalidate_manifest(text: str) -> list:
     bad_fn = len(functions) - len(admitted)
     rows.append(CheckRow("functions admissible", bad_fn, 0, bad_fn == 0))
 
-    recomputed = [mapped for _, _, mapped in admitted]
     mismatches = sum(1 for _, word, mapped in admitted if not _word_matches(word, mapped, ell, d))
     rows.append(CheckRow("words match coding map", mismatches, 0, mismatches == 0))
 
@@ -957,34 +956,42 @@ def revalidate_manifest(text: str) -> list:
     # chain, and parse_manifest put it in the canonical form the one-move
     # relation splices.  A manifest may repeat a function, so each function
     # keeps the list of its lines.  Each pair of lines one move apart is one
-    # move up from exactly one of them, so it is counted once.
+    # move up from exactly one of them, so it is counted once, under the
+    # pair of their words; each pair of distinct words is tested once.
+    word_id: dict = {}  # packed word -> its number
+    line_word = [word_id.setdefault(mapped, len(word_id)) for _, _, mapped in admitted]
     lines_of: dict = {}
     for i, (fn, _, _) in enumerate(admitted):
         lines_of.setdefault(fn, []).append(i)
     sets = {frozenset(s) for fn in lines_of for s, _ in fn}
     cache: dict = {}
-    bad_edges = 0
+    moved: Counter = Counter()  # (word, word) -> line pairs one move apart
     for i, (fn, _, _) in enumerate(admitted):
         for neighbor in _one_move_neighbors(fn, sets, cache):
             for j in lines_of.get(neighbor, ()):
-                a, b = recomputed[i], recomputed[j]
-                if a != b and not _packed_adjacent(a, b, ell):
-                    bad_edges += 1
+                if line_word[i] != line_word[j]:
+                    moved[line_word[i], line_word[j]] += 1
+    packed_words = list(word_id)
+    bad_edges = sum(
+        count
+        for (a, b), count in moved.items()
+        if not _packed_adjacent(packed_words[a], packed_words[b], ell)
+    )
     rows.append(CheckRow("simplicial on rebuilt edges", bad_edges, 0, bad_edges == 0))
 
-    vol = len(set(recomputed))
+    vol = len(word_id)
     rows.append(CheckRow("volume matches header", vol, vol_claim, vol == vol_claim))
     return rows
 
 
 def _word_matches(word, mapped, ell: int, d: int) -> bool:
-    """Whether a recorded word tuple is the packed word ``mapped``, given as
-    (coordinates, codes).  The coordinate count and every length are
-    compared before any word is rendered, so no rendered word is longer
-    than the recorded one."""
-    if len(word) != d + 1:
+    """Whether a recorded word tuple is the packed word ``mapped``, whose
+    codes have (d + 1) * ell characters in all.  The coordinate count, the
+    total length and each coded coordinate's length are compared before
+    that coordinate is rendered, so no rendered word is longer than the
+    recorded one; with the total equal, the other coordinates are empty."""
+    if len(word) != d + 1 or sum(map(len, word)) != (d + 1) * ell:
         return False
-    length = {j: code >> ell for j, code in zip(*mapped)}
-    if any(len(x) != length.get(j, 0) for j, x in enumerate(word)):
-        return False
-    return all(word[j] == _render(code, ell) for j, code in zip(*mapped))
+    return all(
+        len(word[j]) == code >> ell and word[j] == _render(code, ell) for j, code in mapped
+    )

@@ -881,7 +881,7 @@ def test_packed_codes_agree_with_words():
                 assert (x < y) == (s < t)
             assert horocyclic._code_extends(x, y, ell) == (len(s) == len(t) + 1 and s.startswith(t))
 
-        coords = tuple(range(d + 1))
+        coords = range(d + 1)
         for _ in range(20):
             a = [rng.choice(pairs) for _ in coords]
             b = list(a)
@@ -895,7 +895,7 @@ def test_packed_codes_agree_with_words():
             cb = tuple(_packed(k, w, ell) for k, w in b)
             sa = tuple(binary_code(k, w, ell, d) for k, w in a)
             sb = tuple(binary_code(k, w, ell, d) for k, w in b)
-            adjacent = horocyclic._packed_adjacent((coords, ca), (coords, cb), ell)
+            adjacent = horocyclic._packed_adjacent(enumerate(ca), enumerate(cb), ell)
             assert adjacent == words_adjacent(sa, sb)
             rendered = {
                 tuple(horocyclic._render(c, ell) for c in nb)
