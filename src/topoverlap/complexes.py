@@ -73,12 +73,6 @@ class SimplicialComplex:
     def simplex_count(self) -> int:
         return len(self.simplices)
 
-    def k_simplices(self, k: int) -> list:
-        """All simplices of cardinality k+1, canonically sorted."""
-        return sorted(
-            (tuple(sorted(s)) for s in self.simplices if len(s) == k + 1)
-        )
-
     def maximal_simplices(self) -> list:
         """Inclusion-maximal simplices as sorted tuples, in lexicographic order.
 
@@ -91,9 +85,6 @@ class SimplicialComplex:
     def sorted_simplices(self) -> list:
         """Every simplex as a sorted tuple, ordered by (size, lexicographic)."""
         return sorted((tuple(sorted(s)) for s in self.simplices), key=lambda t: (len(t), t))
-
-    def __contains__(self, item) -> bool:
-        return frozenset(item) in self.simplices
 
 
 @dataclass(frozen=True)

@@ -149,14 +149,19 @@ class To1Bounds:
 
 
 def _index_graph(graph: SimplicialComplex):
+    """The graph's sorted vertices and its edges as pairs of their indices."""
     verts, edges = as_graph(graph)
     index = {v: i for i, v in enumerate(verts)}
-    iedges = [(index[u], index[v]) for u, v in edges]
-    adj = [0] * len(verts)
+    return verts, [(index[u], index[v]) for u, v in edges]
+
+
+def _adjacency(n: int, iedges) -> list:
+    """The neighbours of each of the vertices 0..n-1 as a bit set."""
+    adj = [0] * n
     for u, v in iedges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return verts, iedges, adj
+    return adj
 
 
 def _suffix_dp_python(n, adj):
@@ -555,6 +560,28 @@ def _search_cutwidth(n, iedges):
     return width, _search_order(n, iedges, mult, width, budget)
 
 
+def _cutwidth(n: int, iedges):
+    """(order, cut profile, width) of the lexicographically smallest optimal
+    order of the graph on the vertices 0..n-1 with these edges.  The order
+    is checked to be a permutation whose own profile peaks at the optimum."""
+    if n + len(iedges) > DEFAULT_SEARCH_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"graph has {n} vertices and {len(iedges)} edges, more than "
+            f"DEFAULT_SEARCH_SIZE_LIMIT={DEFAULT_SEARCH_SIZE_LIMIT} in all; "
+            "use cutwidth_heuristic for an upper bound"
+        )
+    if n <= DEFAULT_DP_LIMIT:
+        width, order = _dp_order(n, _adjacency(n, iedges))
+    else:
+        width, order = _search_cutwidth(n, iedges)
+    if sorted(order) != list(range(n)):
+        raise RuntimeError("cutwidth witness is not an order of the graph's vertices")
+    profile = tuple(itertools.islice(_gap_sums(n, _spans(order, iedges)), n))
+    if max(profile, default=0) != width:
+        raise RuntimeError(f"cutwidth witness has width {max(profile, default=0)}, not the optimum {width}")
+    return order, profile, width
+
+
 def cutwidth_exact(graph: SimplicialComplex) -> LinearArrangement:
     """Optimal linear arrangement, the lexicographically smallest one.
 
@@ -566,27 +593,9 @@ def cutwidth_exact(graph: SimplicialComplex) -> LinearArrangement:
     exceed DEFAULT_SEARCH_SIZE_LIMIT, and ends a search after
     DEFAULT_STATE_LIMIT steps.
     """
-    verts, edges = as_graph(graph)
-    n = len(verts)
-    if n + len(edges) > DEFAULT_SEARCH_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"graph has {n} vertices and {len(edges)} edges, more than "
-            f"DEFAULT_SEARCH_SIZE_LIMIT={DEFAULT_SEARCH_SIZE_LIMIT} in all; "
-            "use cutwidth_heuristic for an upper bound"
-        )
-    if n == 0:
-        return LinearArrangement((), (), 0)
-    verts, iedges, adj = _index_graph(graph)
-    if n <= DEFAULT_DP_LIMIT:
-        width, order = _dp_order(n, adj)
-    else:
-        width, order = _search_cutwidth(n, iedges)
-    arrangement = LinearArrangement.from_order(graph, [verts[v] for v in order])
-    if arrangement.width != width:
-        raise RuntimeError(
-            f"cutwidth witness has width {arrangement.width}, not the optimum {width}"
-        )
-    return arrangement
+    verts, iedges = _index_graph(graph)
+    order, profile, width = _cutwidth(len(verts), iedges)
+    return LinearArrangement(tuple(verts[v] for v in order), profile, width)
 
 
 _PERM_CACHE: dict = {}
@@ -605,7 +614,7 @@ def cutwidth_bruteforce(graph: SimplicialComplex) -> LinearArrangement:
     Exists as the independent oracle for :func:`cutwidth_exact`; shares no
     logic with the subset DP beyond the cut-profile definition.
     """
-    verts, iedges, _ = _index_graph(graph)
+    verts, iedges = _index_graph(graph)
     n = len(verts)
     if n > BRUTEFORCE_LIMIT:
         raise SizeLimitError(f"graph has {n} vertices, more than BRUTEFORCE_LIMIT={BRUTEFORCE_LIMIT}")
@@ -726,24 +735,15 @@ def _union_table(masks) -> list:
     return table
 
 
-def separation_cut(graph: SimplicialComplex) -> SeparatorWitness:
-    """Minimum vertex set whose removal leaves all components of order <= n/2.
-
-    Enumerates candidate separators in increasing size, lexicographically
-    within a size, so the witness is the lexicographically smallest minimum
-    separator.  Each candidate is tested by flood fills over bit sets that
-    grow a component by a whole layer per step, from two tables of closed
-    neighbourhoods, one per half of the vertices.  A fill stops at the first
-    component of more than n/2 vertices, and once the vertices left
-    unvisited cannot hold a component larger than the largest found.
-    """
-    verts, _, adj = _index_graph(graph)
-    n = len(verts)
+def _separator(n: int, iedges):
+    """(removed bit set, largest component left) of the lexicographically
+    smallest minimum balanced separator of the graph on the vertices
+    0..n-1 with these edges."""
     if n > SUBSET_SCAN_LIMIT:
         raise SizeLimitError(f"graph has {n} vertices, more than SUBSET_SCAN_LIMIT={SUBSET_SCAN_LIMIT}")
     half = n // 2
     split = (n + 1) // 2
-    closed = [a | 1 << v for v, a in enumerate(adj)]
+    closed = [a | 1 << v for v, a in enumerate(_adjacency(n, iedges))]
     low, high = _union_table(closed[:split]), _union_table(closed[split:])
     low_bits = (1 << split) - 1
 
@@ -771,8 +771,24 @@ def separation_cut(graph: SimplicialComplex) -> SeparatorWitness:
             removed = sum(cand)
             largest = largest_component(full ^ removed)
             if largest <= half:
-                return SeparatorWitness(tuple(verts[v] for v in range(n) if removed >> v & 1), largest)
+                return removed, largest
     raise AssertionError("removing all vertices always balances the graph")
+
+
+def separation_cut(graph: SimplicialComplex) -> SeparatorWitness:
+    """Minimum vertex set whose removal leaves all components of order <= n/2.
+
+    Enumerates candidate separators in increasing size, lexicographically
+    within a size, so the witness is the lexicographically smallest minimum
+    separator.  Each candidate is tested by flood fills over bit sets that
+    grow a component by a whole layer per step, from two tables of closed
+    neighbourhoods, one per half of the vertices.  A fill stops at the first
+    component of more than n/2 vertices, and once the vertices left
+    unvisited cannot hold a component larger than the largest found.
+    """
+    verts, iedges = _index_graph(graph)
+    removed, largest = _separator(len(verts), iedges)
+    return SeparatorWitness(tuple(v for i, v in enumerate(verts) if removed >> i & 1), largest)
 
 
 def _lex_first(masks, n: int) -> tuple:
@@ -799,12 +815,13 @@ def cheeger_exact(graph: SimplicialComplex) -> CheegerWitness:
     size gives the value, and a tie pass over the sizes that reach it picks
     the witness.
     """
-    verts, _, adj = _index_graph(graph)
+    verts, iedges = _index_graph(graph)
     n = len(verts)
     if n > SUBSET_SCAN_LIMIT:
         raise SizeLimitError(f"graph has {n} vertices, more than SUBSET_SCAN_LIMIT={SUBSET_SCAN_LIMIT}")
     if n <= 1:
         return CheegerWitness(float("inf"), None)
+    adj = _adjacency(n, iedges)
     # boundary[S] = |N(S) \ S| for every bit set S, from N(S + v) = N(S) | adj[v]
     # for the sets S below v
     near = np.zeros(1 << n, dtype=np.uint32)

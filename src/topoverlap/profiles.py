@@ -17,15 +17,9 @@ from fractions import Fraction
 
 from ._util import SizeLimitError
 from ._util import parallel_map  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
-from .complexes import (
-    MalformedComplexError,
-    SimplicialComplex,
-    as_graph,
-    build_complex,
-    induced_subcomplex,
-    skeleton,
-)
-from .invariants import _gap_sums, cheeger_exact, cutwidth_exact, separation_cut
+from .complexes import MalformedComplexError, SimplicialComplex, as_graph, induced_subcomplex, skeleton
+from .invariants import _cutwidth, _gap_sums, _separator, cheeger_exact, cutwidth_exact
+from .invariants import separation_cut  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
 from .reporting import CheckRow, all_passed
 
 __all__ = [
@@ -132,12 +126,6 @@ class ChainReport:
 
 def host_signature(graph: SimplicialComplex) -> tuple:
     return (graph.n_vertices, tuple(graph.sorted_simplices()))
-
-
-def _invariant_value(graph: SimplicialComplex, invariant: str) -> int:
-    if invariant == "cutwidth":
-        return cutwidth_exact(graph).width
-    return len(separation_cut(graph).separator)
 
 
 def _set_limit_error(r_max: int) -> SizeLimitError:
@@ -257,14 +245,15 @@ def _value_bound(invariant: str, k: int, edges) -> int:
     return min((k + 1) // 2, len(edges) - k + 2)
 
 
-def _memo_value(solved: dict, invariant: str, subset: tuple, edges: tuple) -> int:
-    """The invariant of the graph on ``subset`` with these rank edges, read
-    from ``solved`` (keyed by size and rank edges) or solved and stored."""
-    key = (len(subset), edges)
+def _memo_value(solved: dict, invariant: str, k: int, edges: tuple) -> int:
+    """The invariant of the graph on ranks 0..k-1 with these edges, read
+    from ``solved`` (keyed by size and edges) or solved and stored."""
+    key = (k, edges)
     val = solved.get(key)
     if val is None:
-        sub = build_complex([[subset[i], subset[j]] for i, j in edges], extra_vertices=subset)
-        val = solved[key] = _invariant_value(sub, invariant)
+        val = solved[key] = (
+            _cutwidth(k, edges)[2] if invariant == "cutwidth" else _separator(k, edges)[0].bit_count()
+        )
     return val
 
 
@@ -287,9 +276,8 @@ def profile(
     from its ball's bit masks) is at most that best is skipped unsolved.
     The rest are keyed by size and edges relabelled to ranks in sorted
     order; equal keys are isomorphic sets, so a key met before reuses its
-    value, and only a new key builds the set's subgraph, from those edges,
-    and calls the solver.  Values and witnesses are those of solving every
-    set.
+    value, and only a new key hands its edges to the solver's core on
+    vertex indices.  Values and witnesses are those of solving every set.
     Candidates mode evaluates only the supplied vertex sets and tags
     all entries as lower bounds.  It refuses a candidate with an id the host
     lacks, skips one of more than r_max vertices (no row reads it), and cuts
@@ -297,10 +285,12 @@ def profile(
     ranks for the same memo, so its cost grows with the candidates' sizes
     and degrees, not with the host.  Hosts of higher dimension are reduced to
     their 1-skeleton first; both invariants only see vertices and edges.
-    Either mode refuses r_max past PROFILE_RMAX_LIMIT.
+    Either mode refuses a negative r_max, and r_max past PROFILE_RMAX_LIMIT.
     """
     if invariant not in INVARIANTS:
         raise ValueError(f"unknown invariant {invariant!r}")
+    if r_max < 0:
+        raise ValueError(f"r_max must be at least 0, got {r_max}")
     if r_max > PROFILE_RMAX_LIMIT:
         raise SizeLimitError(
             f"r_max {r_max} exceeds PROFILE_RMAX_LIMIT={PROFILE_RMAX_LIMIT}, "
@@ -329,8 +319,7 @@ def profile(
             local = {x: i for i, x in enumerate(members)}
             adj = [sum(1 << local[y] for y in nbrs[x] if y in local) for x in members]
             edges = _relabelled_edges((1 << len(members)) - 1, adj)
-            subset = tuple(verts[x] for x in members)
-            val = _memo_value(solved, invariant, subset, edges)
+            val = _memo_value(solved, invariant, len(members), edges)
             by_size.setdefault(len(cand), []).append((tuple(sorted(cand)), val))
         entries = {}
         best, witness = 0, ()
@@ -351,7 +340,7 @@ def profile(
             edges = _relabelled_edges(mask, adj)
             if _value_bound(invariant, r, edges) <= best:
                 continue
-            val = _memo_value(solved, invariant, subset, edges)
+            val = _memo_value(solved, invariant, r, edges)
             if val > best:
                 best, witness = val, subset
         entries[r] = ProfileEntry(best, witness, "exact")

@@ -244,6 +244,20 @@ def test_cli_refuses_oversized_inputs(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and limit in err
 
 
+def test_cli_profile_refuses_a_negative_rmax(tmp_path, capsys):
+    p4 = _write_complex(tmp_path, "p4.txt", path(4))
+    cands = tmp_path / "cands.txt"
+    cands.write_text("0 1\n")
+    out_file = tmp_path / "table.csv"
+    for extra in ([], ["--mode", "candidates", "--candidates", str(cands)]):
+        argv = ["profile", p4, "--invariant", "cutwidth", "--rmax", "-3", "--out", str(out_file), *extra]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "r_max" in err
+        assert not out_file.exists()
+
+
 def test_cli_refuses_a_large_simplex_before_subdividing(tmp_path, capsys):
     """One 9-vertex simplex has about 14M chains; its lattice count is
     refused before any of them is built."""

@@ -25,7 +25,7 @@ from topoverlap import (
     to1_bounds,
 )
 from topoverlap import invariants
-from topoverlap.invariants import _index_graph, _suffix_dp_numpy, _suffix_dp_python
+from topoverlap.invariants import _adjacency, _index_graph, _suffix_dp_numpy, _suffix_dp_python
 
 from conftest import (
     clique,
@@ -109,7 +109,7 @@ def test_cut_profile_yardsticks():
 def _search(g):
     """The prefix-set search that cutwidth_exact runs past the DP's vertex
     limit, run on any graph."""
-    verts, iedges, _ = _index_graph(g)
+    verts, iedges = _index_graph(g)
     width, order = invariants._search_cutwidth(len(verts), iedges)
     arrangement = LinearArrangement.from_order(g, [verts[v] for v in order])
     assert arrangement.width == width
@@ -192,7 +192,7 @@ def test_numpy_dp_agrees_with_python_dp(rng):
     for n in range(9, 16):
         for p in (0.2, 0.7):
             g = random_graph(rng, n, p)
-            _, _, adj = _index_graph(g)
+            adj = _adjacency(n, _index_graph(g)[1])
             cut_p, b_p = _suffix_dp_python(n, adj)
             cut_n, b_n = _suffix_dp_numpy(n, adj)
             assert list(map(int, cut_n)) == cut_p
@@ -225,8 +225,9 @@ def test_numpy_dp_stops_at_the_fixed_point():
             "clique": [[u, v] for u in range(n) for v in range(u + 1, n)],
         }
         for name, edges in graphs.items():
-            verts, _, adj = _index_graph(build_complex(edges, extra_vertices=range(n)))
+            verts, iedges = _index_graph(build_complex(edges, extra_vertices=range(n)))
             assert verts == tuple(range(n))
+            adj = _adjacency(n, iedges)
             cut_p, b_p = _suffix_dp_python(n, adj)
             cut_n, b_n = _suffix_dp_numpy(n, adj)
             assert list(map(int, cut_n)) == cut_p, (n, name)
@@ -413,8 +414,29 @@ def test_subset_scan_guards():
         separation_cut(path(21))
 
 
+def test_vertex_limits_refuse_before_any_table():
+    """cheeger_exact, separation_cut and cutwidth_bruteforce refuse a graph
+    past their vertex limit before they build its bit sets or permutation
+    tables, so a 20 000-vertex path is refused in a few MB."""
+    g = path(20_000)
+    for solver, limit in (
+        (cheeger_exact, "SUBSET_SCAN_LIMIT"),
+        (separation_cut, "SUBSET_SCAN_LIMIT"),
+        (cutwidth_bruteforce, "BRUTEFORCE_LIMIT"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=limit):
+                solver(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (solver.__name__, peak)
+
+
 def test_guarantees_run_under_optimize():
-    """The guarantees of find_translate, to1_bounds, verify_expander_chain and
+    """The guarantees of find_translate, to1_bounds, verify_expander_chain,
+    the cutwidth witness (through cutwidth_exact and through profile) and
     the complex size bound are raises, not asserts, so ``python -O`` keeps
     them: each is broken on purpose by patching what it relies on."""
     script = """
@@ -436,6 +458,9 @@ invariants.sweep_overlap = lambda graph, arrangement: -1
 attempt(lambda: invariants.to1_bounds(build_complex([[0, 1]])))
 profiles._ceil_log2 = lambda x: 0
 attempt(lambda: profiles.verify_expander_chain(build_complex([[0, 1], [1, 2]]), Fraction(1, 2)))
+invariants._dp_order = lambda n, adj: (n, list(range(n)))
+attempt(lambda: invariants.cutwidth_exact(build_complex([[0, 1], [1, 2]])))
+attempt(lambda: profiles.profile(build_complex([[0, 1], [1, 2]]), "cutwidth", 3))
 complexes.SimplicialComplex.degree = property(lambda cx: 0)
 attempt(lambda: build_complex([[0, 1]]))
 """
@@ -448,7 +473,7 @@ attempt(lambda: build_complex([[0, 1]]))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert len(lines) == 5 and all(line.startswith("refused: ") for line in lines[1:]), lines
+    assert len(lines) == 7 and all(line.startswith("refused: ") for line in lines[1:]), lines
 
 
 def test_src_has_no_assert_statements():

@@ -26,7 +26,7 @@ from topoverlap import (
 from topoverlap import cubes, fileio, horocyclic, invariants, profiles
 from topoverlap.fileio import ParseError
 
-from conftest import path
+from conftest import cycle, path
 
 
 def _edge_lattice():
@@ -70,6 +70,8 @@ CASES = [
         7,
         MalformedComplexError,
     ),
+    (invariants, "SUBSET_SCAN_LIMIT", lambda: profile(cycle(8), "separation", 8), 8, SizeLimitError),
+    (invariants, "DEFAULT_SEARCH_SIZE_LIMIT", lambda: profile(path(3), "cutwidth", 3), 3, SizeLimitError),
 ]
 
 

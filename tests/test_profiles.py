@@ -21,10 +21,11 @@ from topoverlap import (
     extract_expander,
     induced_subcomplex,
     profile,
+    separation_cut,
     verify_cwsep,
     verify_expander_chain,
 )
-from topoverlap import profiles
+from topoverlap import complexes, profiles
 from topoverlap.profiles import (
     PROFILE_RMAX_LIMIT,
     ProfileEntry,
@@ -87,6 +88,25 @@ def test_profile_guards_and_modes(monkeypatch):
         profile(path(4), "girth", 3)
     with pytest.raises(ValueError):
         profile(path(4), "cutwidth", 3, mode="candidates")
+    for mode, cands in (("exact", None), ("candidates", [{0, 1}])):
+        with pytest.raises(ValueError, match="r_max"):
+            profile(path(4), "cutwidth", -3, mode=mode, candidates=cands)
+
+
+def test_profile_builds_no_complex_per_set(monkeypatch):
+    """Exact and candidates-mode profiles of a graph host hand each set's
+    edges to the solver cores without building a complex for it."""
+    host = grid(3, 4)
+    calls = collections.Counter()
+    assemble = complexes._assemble
+    monkeypatch.setattr(
+        complexes, "_assemble", lambda *a: calls.update(("assemble",)) or assemble(*a)
+    )
+    cands = [{0, 1, 4, 5}, {0, 1, 2, 6}, set(range(12))]
+    for invariant in profiles.INVARIANTS:
+        assert profile(host, invariant, 12).is_exact()
+        assert not profile(host, invariant, 12, mode="candidates", candidates=cands).is_exact()
+    assert calls["assemble"] == 0
 
 
 def _relabel(graph, ids):
@@ -172,7 +192,8 @@ def test_profile_bounds_are_sound_and_memo_keys_are_isomorphism_classes():
                 rank = {v: i for i, v in enumerate(subset)}
                 edges = profiles._relabelled_edges(mask, adj)
                 assert edges == tuple(sorted((rank[u], rank[v]) for u, v in sub.edges))
-                values = tuple(profiles._invariant_value(sub, inv) for inv in profiles.INVARIANTS)
+                values = tuple(profiles._memo_value({}, inv, k, edges) for inv in profiles.INVARIANTS)
+                assert values == (cutwidth_exact(sub).width, len(separation_cut(sub).separator))
                 for invariant, value in zip(profiles.INVARIANTS, values):
                     assert value <= profiles._value_bound(invariant, k, edges), (invariant, subset)
                 assert values_of.setdefault((k, edges), values) == values
@@ -184,15 +205,15 @@ def test_profile_solves_few_of_the_8x8_grid_sets(monkeypatch):
     reach each solver: the others are skipped by their bound or share a
     memo key with a set already solved."""
     calls = collections.Counter()
-    for name in ("cutwidth_exact", "separation_cut"):
-        solver = getattr(profiles, name)
+    for name in ("_cutwidth", "_separator"):
+        core = getattr(profiles, name)
         monkeypatch.setattr(
-            profiles, name, lambda g, solver=solver, name=name: calls.update((name,)) or solver(g)
+            profiles, name, lambda n, iedges, core=core, name=name: calls.update((name,)) or core(n, iedges)
         )
     host = grid(8, 8)
     assert [profile(host, inv, 7).entries[7].value for inv in profiles.INVARIANTS] == [3, 2]
-    assert 0 < calls["cutwidth_exact"] <= 200
-    assert 0 < calls["separation_cut"] <= 200
+    assert 0 < calls["_cutwidth"] <= 200
+    assert 0 < calls["_separator"] <= 200
 
 
 def test_profile_rmax_limit():
