@@ -11,7 +11,9 @@ unit cubes whose integer point lies on the skeleton in at least q axes.
 Cover sizes are exact by construction: the minimal cover of a union of unit
 cubes is the union itself.  The averaging step of the translate bound is
 replaced by an exhaustive search over the r^k translation classes, which is
-stronger at this scale and needs no measure theory.
+stronger at this scale and needs no measure theory.  The search counts
+every class at once from the residue histogram of the roots, one axis at a
+time, and recounts the chosen class cube by cube.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._util import SizeLimitError
 from ._util import parallel_map  # noqa: F401  perfbench/tracing.py binds it; --trace 1 fails without
@@ -34,10 +38,23 @@ __all__ = [
     "balls_covering_cube",
 ]
 
-# find_translate tests every cube at every shift in {0..r-1}^k.  With r^k
-# cubes on a shared 2-core machine, 1024 shifts took 2.2 s (k=2, r=32) to
-# 3.2 s (k=10, r=2), and 2048 took 17 s (k=11, r=2).  More are refused.
+# find_translate counts all r^k shifts in O(r^k * k * q) numpy work.  With
+# r^k cubes on a shared 2-core machine, 1024 shifts take 1.6-3.9 ms (k=2,
+# r=32; k=5, r=4; k=10, r=2).  The limit is not raised until a benchmark op
+# runs a larger search to watch its time and memory.  More shifts are
+# refused, by parse_cubes right after the header.
 TRANSLATE_LIMIT = 2**10
+
+
+def _shifts(r: int, k: int) -> int:
+    """r^k, or the first partial product past TRANSLATE_LIMIT, so that a
+    huge k costs nothing."""
+    shifts = 1
+    for _ in range(k):
+        shifts *= r
+        if shifts > TRANSLATE_LIMIT:
+            break
+    return shifts
 
 
 @dataclass(frozen=True)
@@ -93,30 +110,60 @@ def intersect_with_Y(cubes: CubeSet, r: int, q: int) -> CubeSet:
     return CubeSet(cubes.k, frozenset(keep))
 
 
+def _shift_counts(cubes: CubeSet, r: int, q: int):
+    """Array of shape (r,)*k: at v, the cubes m with v_j = (m_j + 1) mod r in
+    at least q axes, i.e. the cubes that meet the skeleton neighborhood
+    after translation by -v.
+
+    Starts from the residue histogram of the roots.  Layer t of the table
+    counts the cubes that agree with the index in exactly t of the axes
+    handled so far (at least q in the top layer); the index holds v_j on
+    those axes and the residue on the others.  Handling an axis sends each
+    cube that disagrees there to every other value along it, at the same
+    layer, and each cube that agrees one layer up.
+    """
+    k = cubes.k
+    codes = []
+    for m in cubes.roots:
+        code = 0
+        for x in m:
+            code = code * r + (x + 1) % r
+        codes.append(code)
+    hist = np.bincount(np.array(codes, dtype=np.int64), minlength=r**k)
+    table = np.zeros((q + 1,) + (r,) * k, dtype=np.int64)
+    table[0] = hist.reshape((r,) * k)
+    for axis in range(1, k + 1):
+        moved = table.sum(axis=axis, keepdims=True) - table
+        moved[1:] += table[:-1]
+        moved[q] += table[q]
+        table = moved
+    return table[q]
+
+
 def find_translate(cubes: CubeSet, r: int, q: int) -> TranslateResult:
     """Best translate of a cube set away from the coarse skeleton.
 
-    Searches every v in {0..r-1}^k (translation by r*Z^k is a symmetry of
-    the skeleton) and returns the lexicographically smallest minimiser.
-    Requires at most r^k cubes; the returned count is then guaranteed to be
-    at most C(k, q) * r^(k-q).  Refuses r^k > TRANSLATE_LIMIT.
+    Counts every v in {0..r-1}^k (translation by r*Z^k is a symmetry of
+    the skeleton) and returns the lexicographically smallest minimiser,
+    recounted with :func:`cube_in_Y`.  Requires at most r^k cubes; the
+    returned count is then guaranteed to be at most C(k, q) * r^(k-q).
+    Refuses r^k > TRANSLATE_LIMIT.
     """
     k = cubes.k
     if r < 2 or not 0 <= q <= k:
         raise ValueError("need r >= 2 and 0 <= q <= k")
-    shifts = 1
-    for _ in range(k):  # r^k, stopping once past the limit however large k is
-        shifts *= r
-        if shifts > TRANSLATE_LIMIT:
-            raise SizeLimitError(f"{r}^{k} shifts exceed TRANSLATE_LIMIT={TRANSLATE_LIMIT}")
+    if _shifts(r, k) > TRANSLATE_LIMIT:
+        raise SizeLimitError(f"{r}^{k} shifts exceed TRANSLATE_LIMIT={TRANSLATE_LIMIT}")
     if len(cubes.roots) > r**k:
         raise ValueError(f"translate bound needs at most r^k = {r**k} cubes, got {len(cubes.roots)}")
     bound = math.comb(k, q) * r ** (k - q)
-
-    def count_at(v):
-        return sum(1 for m in cubes.roots if cube_in_Y(tuple(x - d for x, d in zip(m, v)), r, q, k))
-
-    best_count, best_v = min((count_at(v), v) for v in itertools.product(range(r), repeat=k))
+    counts = _shift_counts(cubes, r, q)
+    flat = int(counts.argmin())  # C order: the lexicographically smallest minimiser
+    best_v = tuple(int(x) for x in np.unravel_index(flat, counts.shape))
+    best_count = int(counts.flat[flat])
+    recount = sum(1 for m in cubes.roots if cube_in_Y(tuple(x - d for x, d in zip(m, best_v)), r, q, k))
+    if recount != best_count:
+        raise RuntimeError(f"shift {best_v} was counted {best_count} but covers {recount} cubes")
     if best_count > bound:
         raise RuntimeError(f"best translate covers {best_count} cubes, more than the bound {bound}")
     return TranslateResult(best_v, best_count, bound)

@@ -6,8 +6,10 @@ only, and parse(emit(parse(x))) == parse(x).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+from . import cubes as _cubes
 from .complexes import MalformedComplexError, SimplicialComplex, build_complex
 from .cubes import CubeSet
 from .profiles import PROFILE_RMAX_LIMIT, ProfileEntry, ProfileTable
@@ -92,12 +94,29 @@ def emit_complex(cx: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the line boundaries of str.splitlines
+_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _numbered_lines(text: str):
+    """(1-based number, line) of ``text.splitlines()``, one at a time, so
+    that a parser that refuses early never splits the rest."""
+    start, no = 0, 0
+    for no, end in enumerate(_LINE_END.finditer(text), start=1):
+        yield no, text[start : end.start()]
+        start = end.end()
+    if start < len(text):
+        yield no + 1, text[start:]
+
+
 def parse_cubes(text: str):
     """Cube file: first line `k r`, then one root (k integers) per line.
-    Returns (CubeSet, r)."""
-    k = r = None
-    roots = []
-    for no, raw in enumerate(text.splitlines(), start=1):
+    Returns (CubeSet, r).  Refuses r^k > TRANSLATE_LIMIT (of ``cubes``)
+    right after the header, and more than r^k distinct roots at the first
+    root past them, so an oversized file is refused without being read."""
+    k = r = shifts = None
+    roots = set()
+    for no, raw in _numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -111,13 +130,20 @@ def parse_cubes(text: str):
                 raise ParseError(no, f"bad `k r` header {line!r}") from None
             if k < 1 or r < 2:
                 raise ParseError(no, "need k >= 1 and r >= 2")
+            shifts = _cubes._shifts(r, k)
+            if shifts > _cubes.TRANSLATE_LIMIT:
+                raise ParseError(
+                    no, f"{r}^{k} shifts exceed TRANSLATE_LIMIT={_cubes.TRANSLATE_LIMIT}"
+                )
         else:
             if len(parts) != k:
                 raise ParseError(no, f"expected {k} coordinates")
             try:
-                roots.append(tuple(int(p) for p in parts))
+                roots.add(tuple(int(p) for p in parts))
             except ValueError:
                 raise ParseError(no, f"bad coordinate in {line!r}") from None
+            if len(roots) > shifts:
+                raise ParseError(no, f"more than r^k = {shifts} distinct roots")
     if k is None:
         raise ParseError(1, "missing `k r` header")
     return CubeSet.of(k, roots), r

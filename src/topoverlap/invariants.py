@@ -635,6 +635,59 @@ def cutwidth_bruteforce(graph: SimplicialComplex) -> LinearArrangement:
     return LinearArrangement.from_order(graph, order)
 
 
+class _SwapOrder:
+    """An order of the vertices 0..n-1 under adjacent swaps, with its gap
+    cuts, a histogram of their values and its width kept up to date.
+
+    Swapping positions i and i + 1 changes only the cut of gap i + 1, the
+    one between them, by a sum over the two vertices' neighbours, so a swap
+    costs O(deg) rather than a rescan of the order.
+    """
+
+    def __init__(self, order: list, nbrs: list, iedges):
+        self.order = order
+        self.nbrs = nbrs
+        self.pos = [0] * len(order)
+        for i, v in enumerate(order):
+            self.pos[v] = i
+        self.cuts = list(_gap_sums(len(order), _spans(order, iedges)))
+        self.hist = [0] * (len(iedges) + 1)
+        for c in self.cuts:
+            self.hist[c] += 1
+        self.width = max(self.cuts)
+
+    def swap(self, i: int) -> int:
+        """Swap positions i and i + 1 and return the new width."""
+        order, pos = self.order, self.pos
+        u, v = order[i], order[i + 1]
+        delta = 0
+        for w in self.nbrs[u]:
+            p = pos[w]
+            if p < i:
+                delta += 1
+            elif p > i + 1:
+                delta -= 1
+        for w in self.nbrs[v]:
+            p = pos[w]
+            if p > i + 1:
+                delta += 1
+            elif p < i:
+                delta -= 1
+        order[i], order[i + 1] = v, u
+        pos[u], pos[v] = i + 1, i
+        if delta:
+            hist = self.hist
+            old = self.cuts[i + 1]
+            self.cuts[i + 1] = new = old + delta
+            hist[old] -= 1
+            hist[new] += 1
+            if new > self.width:
+                self.width = new
+            while not hist[self.width]:  # gaps 0 and n keep a cut of 0
+                self.width -= 1
+        return self.width
+
+
 def cutwidth_heuristic(
     graph: SimplicialComplex, seed: int = 0, budget: int = 2000
 ) -> LinearArrangement:
@@ -643,53 +696,50 @@ def cutwidth_heuristic(
     Returns a valid arrangement, hence a certified upper bound on cutwidth;
     never used in certified inequalities.  Deterministic for a fixed seed.
     """
-    verts, edges = as_graph(graph)
+    verts, iedges = _index_graph(graph)
     n = len(verts)
     if n <= 1:
         return LinearArrangement(tuple(verts), (0,) * n, 0)
     rng = random.Random(seed)
+    nbrs = [[] for _ in range(n)]
+    for u, v in iedges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
 
-    def width_of(order):
-        return max(_gap_sums(n, _spans(order, edges)))
-
-    def descend(order):
-        order = list(order)
-        w = width_of(order)
+    def descend(state):
         improved = True
         while improved:
             improved = False
             for i in range(n - 1):
-                order[i], order[i + 1] = order[i + 1], order[i]
-                w2 = width_of(order)
-                if w2 < w:
-                    w = w2
+                w = state.width
+                if state.swap(i) < w:
                     improved = True
                 else:
-                    order[i], order[i + 1] = order[i + 1], order[i]
-        return order, w
+                    state.swap(i)
 
-    best_order = list(verts)
-    best_w = width_of(best_order)
+    # Orders are of vertex indices; the vertices are sorted, so comparing
+    # two orders of indices compares the orders of their vertices.
+    best_order = list(range(n))
+    best_w = _SwapOrder(best_order, nbrs, iedges).width
     restarts = 3
     for restart in range(restarts):
-        order = list(verts)
+        order = list(range(n))
         if restart:
             rng.shuffle(order)
-        w = width_of(order)
+        state = _SwapOrder(order, nbrs, iedges)
         temp, cooling = 2.0, 0.995
         for _ in range(budget // restarts):
             i = rng.randrange(n - 1)
-            order[i], order[i + 1] = order[i + 1], order[i]
-            w2 = width_of(order)
-            if w2 <= w or rng.random() < math.exp((w - w2) / max(temp, 1e-9)):
-                w = w2
-            else:
-                order[i], order[i + 1] = order[i + 1], order[i]
+            w = state.width
+            w2 = state.swap(i)
+            # keep a worse order with probability exp((w - w2) / temp)
+            if w2 > w and rng.random() >= math.exp((w - w2) / max(temp, 1e-9)):
+                state.swap(i)
             temp *= cooling
-        order, w = descend(order)
-        if (w, order) < (best_w, best_order):
-            best_order, best_w = order, w
-    return LinearArrangement.from_order(graph, best_order)
+        descend(state)
+        if (state.width, state.order) < (best_w, best_order):
+            best_order, best_w = state.order, state.width
+    return LinearArrangement.from_order(graph, [verts[i] for i in best_order])
 
 
 def sweep_overlap(graph: SimplicialComplex, arrangement: LinearArrangement) -> int:

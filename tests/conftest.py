@@ -234,6 +234,79 @@ def oracle_profile(host: SimplicialComplex, invariant: str, r_max: int) -> dict:
     return out
 
 
+def oracle_translate(k: int, roots, r: int, q: int) -> tuple:
+    """``(v, count)`` of the translate search, by trying every shift v in
+    {0..r-1}^k and counting the roots m with (m_j - v_j + 1) divisible by r
+    in at least q axes; the lexicographically smallest minimiser."""
+    best = None
+    for v in itertools.product(range(r), repeat=k):
+        count = sum(1 for m in roots if sum((x - d + 1) % r == 0 for x, d in zip(m, v)) >= q)
+        if best is None or count < best[1]:
+            best = (v, count)
+    return best
+
+
+def oracle_anneal(graph: SimplicialComplex, seed: int = 0, budget: int = 2000) -> tuple:
+    """``(width, order)`` of the annealing heuristic, rescoring the whole
+    order after every swap: three restarts of ``budget // 3`` random
+    adjacent swaps under a cooling temperature, each followed by a descent
+    through the swaps that lower the width."""
+    import math
+
+    verts, edges = as_graph(graph)
+    n = len(verts)
+    if n <= 1:
+        return 0, tuple(verts)
+    rng = random.Random(seed)
+
+    def width_of(order):
+        pos = {v: i for i, v in enumerate(order)}
+        steps = [0] * (n + 1)
+        for u, v in edges:
+            a, b = sorted((pos[u], pos[v]))
+            steps[a + 1] += 1
+            steps[b + 1] -= 1
+        return max(itertools.accumulate(steps))
+
+    def descend(order):
+        order = list(order)
+        w = width_of(order)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n - 1):
+                order[i], order[i + 1] = order[i + 1], order[i]
+                w2 = width_of(order)
+                if w2 < w:
+                    w = w2
+                    improved = True
+                else:
+                    order[i], order[i + 1] = order[i + 1], order[i]
+        return order, w
+
+    best_order = list(verts)
+    best_w = width_of(best_order)
+    for restart in range(3):
+        order = list(verts)
+        if restart:
+            rng.shuffle(order)
+        w = width_of(order)
+        temp = 2.0
+        for _ in range(budget // 3):
+            i = rng.randrange(n - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+            w2 = width_of(order)
+            if w2 <= w or rng.random() < math.exp((w - w2) / max(temp, 1e-9)):
+                w = w2
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+            temp *= 0.995
+        order, w = descend(order)
+        if (w, order) < (best_w, best_order):
+            best_order, best_w = order, w
+    return best_w, tuple(best_order)
+
+
 def _components(verts, edges):
     adj = {v: [] for v in verts}
     for u, v in edges:

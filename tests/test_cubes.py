@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from topoverlap import (
     find_translate,
     intersect_with_Y,
 )
+from topoverlap import cubes
 from topoverlap.cubes import balls_covering_cube, cubes_covering_unit_ball
+
+from conftest import oracle_translate
 
 
 def test_cube_in_Y_examples():
@@ -60,6 +64,30 @@ def test_translate_examples():
     assert res1.count == 3 and res1.bound == 4
     res2 = find_translate(sq, 2, 2)
     assert res2.count <= 1 and res2.bound == 1
+
+
+def test_translate_matches_shift_by_shift_oracle():
+    """300 seeded cases, k <= 4, r <= 5, q from 0 to k, negative roots and
+    the empty set: the same minimising shift and count as trying every
+    shift in turn."""
+    rng = random.Random(2500)
+    for case in range(300):
+        k, r = rng.randint(1, 4), rng.randint(2, 5)
+        q = rng.randint(0, k)
+        size = 0 if case < 10 else rng.randint(0, min(r**k, 64))
+        roots = {tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(size)}
+        res = find_translate(CubeSet.of(k, roots), r, q)
+        assert (res.v, res.count) == oracle_translate(k, roots, r, q), (k, r, q, sorted(roots))
+
+
+def test_translate_recount_refuses_a_wrong_count(monkeypatch):
+    """Negative control: a per-axis count that is off by one at every shift
+    keeps the minimiser, and the recount of that shift refuses it."""
+    counts = cubes._shift_counts
+    monkeypatch.setattr(cubes, "_shift_counts", lambda cs, r, q: counts(cs, r, q) - 1)
+    sq = CubeSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    with pytest.raises(RuntimeError, match="counted 2 but covers 3"):
+        find_translate(sq, 2, 1)
 
 
 def test_translate_hypothesis_guard():

@@ -1,4 +1,5 @@
 import argparse
+import random
 import subprocess
 import sys
 import time
@@ -120,6 +121,31 @@ def test_cubes_round_trip():
     back, r = parse_cubes(text)
     assert back == cs and r == 3
     assert emit_cubes(back, r) == text
+
+
+@pytest.mark.parametrize(
+    "header,match",
+    [("30 2", "TRANSLATE_LIMIT=1024"), ("2 4", "more than r\\^k = 16 distinct roots")],
+    ids=["shifts", "roots"],
+)
+def test_parse_cubes_refuses_an_oversized_file_at_once(header, match):
+    """A cube file of 100 000 distinct roots, with 2^30 shifts (6.4 MB) or
+    with the 16 shifts of a 2 4 header, is refused without reading the rest
+    of it: in well under a second and a few MB, whatever the file's size."""
+    rng = random.Random(30)
+    k = int(header.split()[0])
+    lines = (" ".join([str(i)] + [str(rng.randint(0, 9)) for _ in range(k - 1)]) for i in range(100_000))
+    text = header + "\n" + "\n".join(lines) + "\n"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ParseError, match=match):
+            parse_cubes(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 8 * 2**20
 
 
 def test_profile_csv_round_trip():

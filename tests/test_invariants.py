@@ -30,7 +30,9 @@ from topoverlap.invariants import _adjacency, _index_graph, _suffix_dp_numpy, _s
 from conftest import (
     clique,
     cycle,
+    gapped_graph,
     grid,
+    oracle_anneal,
     oracle_cheeger,
     oracle_cutwidth,
     oracle_separation,
@@ -272,6 +274,32 @@ def test_heuristic_deterministic():
     a = cutwidth_heuristic(cycle(8), seed=11, budget=500)
     b = cutwidth_heuristic(cycle(8), seed=11, budget=500)
     assert a == b
+
+
+def _anneal_graphs():
+    """60 seeded graphs: 0 to 2 vertices, then gapped labels with isolated
+    vertices, every fourth with a second component far along the labels."""
+    rng = random.Random(2525)
+    graphs = []
+    for i in range(60):
+        g = gapped_graph(rng, i if i < 3 else rng.randint(3, 14), rng.choice((0.1, 0.25, 0.5)))
+        if i % 4 == 3:
+            h = gapped_graph(rng, rng.randint(2, 6), 0.6)
+            edges = [list(e) for e in g.edges] + [[u + 100, v + 100] for u, v in h.edges]
+            g = build_complex(edges, extra_vertices=list(g.vertices) + [v + 100 for v in h.vertices])
+        graphs.append(g)
+    return graphs
+
+
+def test_heuristic_matches_full_rescore_oracle():
+    """The annealer keeps every order of the oracle that rescores the whole
+    order after each swap, at budgets that stop mid-restart and at the
+    default one."""
+    for i, g in enumerate(_anneal_graphs()):
+        budget = (0, 1, 2, 3, 4, 5, 2000)[i % 7]
+        width, order = oracle_anneal(g, seed=i, budget=budget)
+        arr = cutwidth_heuristic(g, seed=i, budget=budget)
+        assert arr == LinearArrangement.from_order(g, order) and arr.width == width, i
 
 
 def test_sweep_named_values():

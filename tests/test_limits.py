@@ -72,6 +72,7 @@ CASES = [
     ),
     (invariants, "SUBSET_SCAN_LIMIT", lambda: profile(cycle(8), "separation", 8), 8, SizeLimitError),
     (invariants, "DEFAULT_SEARCH_SIZE_LIMIT", lambda: profile(path(3), "cutwidth", 3), 3, SizeLimitError),
+    (cubes, "TRANSLATE_LIMIT", lambda: fileio.parse_cubes("2 4\n"), 16, ParseError),
 ]
 
 

@@ -2,8 +2,8 @@
 
 The SHA-256 digests below were recorded with the two subset DPs of
 ``cutwidth_exact`` (up to ``DEFAULT_DP_LIMIT`` = 24 vertices) and its
-prefix-set search past them, and with the shift-by-shift loop of
-``find_translate``.  They pin values and the lexicographically smallest
+prefix-set search past them, and with the shift-by-shift loop that
+``find_translate`` then had.  They pin values and the lexicographically smallest
 witnesses byte for byte, so that a new engine must return the same orders:
 seeded graphs of 0 to 20 vertices with gapped labels, cliques, cycles,
 paths and grids on both sides of the DP limit, the images of the
@@ -14,15 +14,19 @@ and 8x8 grids recorded later, with the same engines), and the best translates of
 Three digests recorded later, with the per-gap cut loops that each order
 scorer then had, pin what is derived from an order: the cut profiles of the
 exact orders, the annealer's orders (every comparison and random draw it
-makes depends on the widths it computes), and the sweep overlaps of shuffled
-orders with the ``to1_bounds`` triples.
+makes depends on the widths it computes; it then rescored the whole order
+after each swap), and the sweep overlaps of shuffled orders with the
+``to1_bounds`` triples.
 
 The DP's largest sizes have their own digest, recorded later with the same
 engines: seeded graphs of 21 to 24 vertices with gapped labels, where the
 DP takes 0.2 to 1.8 s a graph and about 150 MB of peak RSS at 24 on a
 shared 2-core machine, so that an engine that answers these sizes first by
 search must return the DP's orders.  The criterion-9 recipe has no image in
-that range: its 30 images have 2 to 20 or 37 to 184 vertices.
+that range: its 30 images have 2 to 20 or 37 to 184 vertices.  A last digest,
+recorded with the same DP, pins the sparse graphs in that range that a
+search answers in a few steps: P21, C22, the 3x7 grid, a seeded tree of 22
+vertices and the 4x6 grid (0.4 to 1.2 s each there, 5.5 s for the grid).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import random
 
 from topoverlap import (
     CubeSet,
+    build_complex,
     LinearArrangement,
     coarse_construct,
     cutwidth_exact,
@@ -59,6 +64,8 @@ GOLDEN = {
 }
 
 GOLDEN_DP_EDGE = "631198a4a75d8ae77349aae80378229fafa88f0495a80e43a270fff8e788e81a"
+
+GOLDEN_SPARSE = "aa9500cdb7c3d0a76d7865e07921e7b64e32bbef5d6bb283f23f9dd8e6faeb8e"
 
 TRANSLATE_SHAPES = (
     (2, 3, 1), (2, 4, 1), (2, 4, 2), (3, 3, 1), (3, 3, 2), (3, 4, 1),
@@ -89,6 +96,14 @@ def search_graphs():
 def dp_edge_graphs():
     rng = random.Random(2124)
     return [gapped_graph(rng, n, p) for n in range(21, 25) for p in (0.25, 0.5)]
+
+
+def sparse_graphs():
+    """Sparse graphs of 21 to 24 vertices, which a search would answer
+    in a few steps: P21, C22, the 3x7 grid, a seeded tree and the 4x6 grid."""
+    rng = random.Random(2222)
+    tree = build_complex([[i, rng.randrange(i)] for i in range(1, 22)])
+    return [path(21), cycle(22), grid(3, 7), tree, grid(4, 6)]
 
 
 def criterion_9_images():
@@ -191,3 +206,7 @@ def test_solvers_match_golden_digests():
 
 def test_dp_edge_orders_match_golden_digest():
     assert digest(cutwidth_text(dp_edge_graphs())) == GOLDEN_DP_EDGE
+
+
+def test_sparse_orders_match_golden_digest():
+    assert digest(cutwidth_text(sparse_graphs())) == GOLDEN_SPARSE
