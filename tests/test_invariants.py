@@ -293,8 +293,8 @@ def _anneal_graphs():
 
 def test_heuristic_matches_full_rescore_oracle():
     """The annealer keeps every order of the oracle that rescores the whole
-    order after each swap, at budgets that stop mid-restart and at the
-    default one."""
+    order after each swap, at budgets of 0 to 5 swaps, where the descents
+    do nearly all the work, and at the default budget."""
     for i, g in enumerate(_anneal_graphs()):
         budget = (0, 1, 2, 3, 4, 5, 2000)[i % 7]
         width, order = oracle_anneal(g, seed=i, budget=budget)
