@@ -1,8 +1,8 @@
-"""Small shared helpers: size guards, deterministic thread mapping, components."""
+"""Small shared helpers: size guards, components, and ``parallel_map``, a
+serial map that nothing in the package calls, kept only because
+``perfbench/tracing.py`` binds it by name in ``profiles`` and ``cubes``."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["SizeLimitError", "parallel_map", "components_of"]
 
@@ -12,17 +12,9 @@ class SizeLimitError(ValueError):
 
 
 def parallel_map(fn, items, threads: int = 1):
-    """Map ``fn`` over ``items`` preserving order.
-
-    With ``threads > 1`` work is spread over a thread pool; results come back
-    in input order, so reductions downstream are independent of the thread
-    count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``, serially: ``threads`` is ignored, and the
+    name stays only for the tracer's bindings (see the module docstring)."""
+    return [fn(x) for x in items]
 
 
 def components_of(vertices, edges):

@@ -140,14 +140,14 @@ def build_complex(maximal_simplices, extra_vertices=()) -> SimplicialComplex:
 
 def stats(cx: SimplicialComplex) -> ComplexStats:
     """Dimension, degree, delta and simplex count.  The simplices meeting s
-    are the union of the stars of its vertices, so delta costs the sum of
-    the star sizes over each simplex's vertices, not a scan of all pairs."""
+    are the union of the stars of its vertices, and a simplex meets no more
+    of them than one containing it, so delta is taken over the facets."""
     star: dict = {v: [] for v in cx.vertices}
     for i, s in enumerate(cx.simplices):
         for v in s:
             star[v].append(i)
     delta = 0
-    for s in cx.simplices:
+    for s in cx.maximal_simplices():
         delta = max(delta, len(set().union(*(star[v] for v in s))))
     out = ComplexStats(cx.dimension, cx.degree, delta, cx.simplex_count)
     if out.delta > out.simplex_count:

@@ -214,16 +214,14 @@ class DLatticeComplex:
     """Lattice refinement of a barycentric complex.
 
     Vertices are the admissible weight functions (``functions[i]`` is the
-    canonical form of vertex i).  ``pairs`` lists each refinement edge once
-    as (lower end, upper end), the upper end one move up from the lower, and
-    ``edges`` the same edges as sorted (u, v) pairs with u < v.  ``complex``
-    holds the vertices with these 1-simplices.
+    canonical form of vertex i), and ``edges`` lists the refinement edges as
+    sorted (u, v) pairs with u < v.  ``complex`` holds the vertices with
+    these 1-simplices.
     """
 
     d: int
     ell: int
     functions: tuple
-    pairs: tuple
     edges: tuple
 
     @cached_property
@@ -279,15 +277,15 @@ def build_D_ell(bary: SimplicialComplex, labels: dict, ell: int, d: int) -> DLat
     cache: dict = {}
     chain_of = {keys: c for c, keys in enumerate(supports)}
     moves = [_chain_moves(keys, sets, cache, chain_of) for keys in supports]
-    pairs = []
+    edges = []
     degree = [0] * len(functions)
     for i, (_, c, weights) in enumerate(made):
         for neighbor, upper in _moves_up(weights, moves[c]):
             j = position[upper][neighbor]
-            pairs.append((i, j))
+            edges.append((i, j) if i < j else (j, i))
             degree[i] += 1
             degree[j] += 1
-    edges = sorted((i, j) if i < j else (j, i) for i, j in pairs)
+    edges.sort()
     if any(a == b for a, b in zip(edges, edges[1:])):
         raise ConstructionError("a refinement edge was found twice")
 
@@ -305,7 +303,7 @@ def build_D_ell(bary: SimplicialComplex, labels: dict, ell: int, d: int) -> DLat
     if len(functions) > len(bary.simplices) * (total + 1) ** d:
         raise ConstructionError(f"{len(functions)} weight functions exceed chains*((d+1)ell+1)^d")
     _check_dimension_witness(chains, labels, functions, total, d, cache)
-    return DLatticeComplex(d, ell, functions, tuple(pairs), tuple(edges))
+    return DLatticeComplex(d, ell, functions, tuple(edges))
 
 
 def _move_targets(support, sets, cache: dict) -> list:
@@ -651,23 +649,24 @@ def coarse_construct(z: SimplicialComplex) -> CoarseConstruction:
     # the target's edges are exactly the adjacent pairs of image words.
     target_edges = set(target.edges)
     sub_edges = lattice.edges
-    for i, j in sub_edges:
-        a, b = vertex_map[i], vertex_map[j]
-        if a != b and ((a, b) if a < b else (b, a)) not in target_edges:
-            raise ConstructionError(f"coding map is not simplicial on refinement edge {i}-{j}")
-
-    # a vertex is carried by its top, an edge by its upper end's top (a move
-    # up never shrinks the top); reach[t] has a bit for each top carrying a
-    # cell whose image meets target vertex t
+    # a vertex is carried by its top, an edge by the larger of its ends'
+    # (comparable) tops, since a move up never shrinks the top; reach[t] has
+    # a bit for each top carrying a cell whose image meets target vertex t
     carriers = [frozenset((frozenset(top),)) for top in tops]
+    top_size = [len(top) for top in tops]
     provsets = {frozenset((i,)): carriers[top] for i, top in enumerate(top_of)}
     reach = [0] * len(image)
     for i, top in enumerate(top_of):
         reach[vertex_map[i]] |= 1 << top
-    for pair in lattice.pairs:
-        upper = top_of[pair[1]]
-        provsets[frozenset(pair)] = carriers[upper]
-        reach[vertex_map[pair[0]]] |= 1 << upper
+    for i, j in sub_edges:
+        a, b = vertex_map[i], vertex_map[j]
+        if a != b and ((a, b) if a < b else (b, a)) not in target_edges:
+            raise ConstructionError(f"coding map is not simplicial on refinement edge {i}-{j}")
+        p, q = top_of[i], top_of[j]
+        upper = p if top_size[p] >= top_size[q] else q
+        provsets[frozenset((i, j))] = carriers[upper]
+        reach[a] |= 1 << upper
+        reach[b] |= 1 << upper
     measured = 0
     for simplex in target.simplices:
         hit = 0

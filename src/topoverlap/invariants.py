@@ -229,27 +229,49 @@ def _suffix_dp_numpy(n, adj):
             return cut, b
 
 
+def _rebuild(nbrs, width: int, extends, place=None, cnt=None, placed=None) -> list:
+    """The lexicographically smallest order of width ``width`` (the
+    cutwidth) of the graph with neighbour lists ``nbrs``, for both engines:
+    at each step the smallest unplaced v with cut(S + v) <= width such that
+    S + v still extends, S the vertices placed so far.  A v that does not
+    raise the cut is a free move (see the comment above ``_StateBudget``);
+    for any other the engine's ``extends(s, v, c)`` answers, given S's bit
+    set s and cut c.  ``cnt`` (edges into S) and ``placed`` may be the
+    engine's own, and ``place(v)`` runs once v is placed and counted."""
+    n = len(nbrs)
+    deg = [len(a) for a in nbrs]
+    cnt = [0] * n if cnt is None else cnt
+    placed = [False] * n if placed is None else placed
+    order, s, c, first = [], 0, 0, 0
+    for _ in range(n):
+        while placed[first]:
+            first += 1
+        for v in range(first, n):
+            rise = deg[v] - 2 * cnt[v]
+            if placed[v] or c + rise > width:
+                continue
+            if rise <= 0 or extends(s, v, c):
+                break
+        else:
+            raise RuntimeError("cutwidth rebuild: no vertex extends a feasible prefix set")
+        placed[v] = True
+        for u in nbrs[v]:
+            cnt[u] += 1
+        if place is not None:
+            place(v)
+        order.append(v)
+        s |= 1 << v
+        c += rise
+    return order
+
+
 def _dp_order(n, adj):
     """Cutwidth and the lexicographically smallest optimal order (vertex
     indices) from the subset DP."""
-    if n <= _PURE_PYTHON_DP_MAX:
-        cut, b = _suffix_dp_python(n, adj)
-    else:
-        cut, b = _suffix_dp_numpy(n, adj)
+    _, b = (_suffix_dp_python if n <= _PURE_PYTHON_DP_MAX else _suffix_dp_numpy)(n, adj)
     width = int(b[0])
-    order = []
-    s, reached = 0, 0
-    for _ in range(n):
-        for v in range(n):
-            if s >> v & 1:
-                continue
-            t = s | (1 << v)
-            c = int(cut[t])
-            if max(reached, c, int(b[t])) <= width:
-                order.append(v)
-                s, reached = t, max(reached, c)
-                break
-    return width, order
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    return width, _rebuild(nbrs, width, lambda s, v, c: b[s | 1 << v] <= width)
 
 
 # Past the DP's vertex limit, cutwidth_exact searches prefix sets instead.
@@ -288,14 +310,6 @@ def _dp_order(n, adj):
 #   peaks at cut + max(a, d - a) for u's cut change d, and the leaves left
 #   over are free moves after u.  In the graph itself a leaf of the
 #   suppressed multigraph is the far end of a path hanging from u.
-#
-# The order is rebuilt on the graph at the optimal width the way the DP
-# rebuilds it: at each step the smallest vertex v with cut(S + v) <= k such
-# that S + v still extends.  So both return the lexicographically smallest
-# optimal order.  While doing so, a connected component with no placed
-# vertex can wait: moving all of it to the end of a valid completion only
-# takes its edges out of the cuts before, and at the end it needs only its
-# own width, which is at most k.
 
 
 class _StateBudget:
@@ -501,7 +515,10 @@ def _search_width(n, mult, budget: _StateBudget) -> int:
 def _search_order(n, iedges, mult, width: int, budget: _StateBudget) -> list:
     """The lexicographically smallest order of width ``width`` (the
     cutwidth), rebuilt on the graph itself with the prefix-set search as the
-    oracle; ``mult`` is the graph's suppressed multigraph."""
+    oracle; ``mult`` is the graph's suppressed multigraph.  The search asks
+    only for the components the order has entered: moving a component with
+    no placed vertex to the end of a valid completion only takes its edges
+    out of the cuts before, and there it needs at most its own width."""
     nbrs = [[] for _ in range(n)]
     for u, v in iedges:
         nbrs[u].append(v)
@@ -515,40 +532,29 @@ def _search_order(n, iedges, mult, width: int, budget: _StateBudget) -> list:
         for v in comp:
             comp_of[v] = i
     comp_bits = [sum(1 << v for v in comp) for comp in comps]
-    # the search's goal: the components the order has entered
-    goal = 0
     deg, cnt, placed = search.deg, search.cnt, search.placed
-    order, s, reach, c, free, first = [], 0, 0, 0, set(), 0
-    for _ in range(n):
-        while placed[first]:
-            first += 1
-        for v in range(first, n):
-            rise = deg[v] - 2 * cnt[v]
-            if placed[v] or c + rise > width:
-                continue
-            if rise <= 0:
-                break  # a free move
-            search.goal = goal | comp_bits[comp_of[v]]
-            search.allowed = search.goal & search.choice_bits
-            added, bits, more, change = search.extend(v, free)
-            ok = search.feasible(s | bits, reach | more, c + change)
-            search.retract(added)
-            if ok:
-                break
-        else:
-            raise RuntimeError("cutwidth search: no vertex extends a feasible prefix set")
-        placed[v] = True
+    # the unplaced free vertices, the components entered, the neighbour bits
+    free, entered, reach = set(), 0, 0
+
+    def extends(s, v, c):
+        # the search stands on S closed under its free moves
+        search.goal = entered | comp_bits[comp_of[v]]
+        search.allowed = search.goal & search.choice_bits
+        added, bits, more, change = search.extend(v, free)
+        ok = search.feasible(s | bits, reach | more, c + change)
+        search.retract(added)
+        return ok
+
+    def place(v):
+        nonlocal entered, reach
         for u in nbrs[v]:
-            cnt[u] += 1
             if not placed[u] and deg[u] <= 2 * cnt[u]:
                 free.add(u)
         free.discard(v)
-        goal |= comp_bits[comp_of[v]]
-        order.append(v)
-        s |= 1 << v
+        entered |= comp_bits[comp_of[v]]
         reach |= search.nbits[v]
-        c += rise
-    return order
+
+    return _rebuild(nbrs, width, extends, place, cnt, placed)
 
 
 def _search_cutwidth(n, iedges):

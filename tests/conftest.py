@@ -97,6 +97,26 @@ def oracle_cutwidth(graph: SimplicialComplex) -> int:
     return best
 
 
+def oracle_dp_order(n: int, cut, b) -> tuple:
+    """Cutwidth and the lexicographically smallest optimal order from the
+    subset DP's tables, by walking them: at each step the smallest unplaced
+    v whose prefix set S + v keeps every cut so far and b[S + v] at most
+    the width.  Reads only the tables, not the graph."""
+    width = int(b[0])
+    order, s, reached = [], 0, 0
+    for _ in range(n):
+        for v in range(n):
+            if s >> v & 1:
+                continue
+            t = s | (1 << v)
+            c = int(cut[t])
+            if max(reached, c, int(b[t])) <= width:
+                order.append(v)
+                s, reached = t, max(reached, c)
+                break
+    return width, order
+
+
 def oracle_sweep(graph: SimplicialComplex, order) -> int:
     """Overlap of the sweep map by sampling every integer level and gap
     midpoint against interval membership."""

@@ -78,6 +78,17 @@ def test_cli_stats_at_the_header_limit(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("degree,0\ndelta,1\n")
 
 
+def test_cli_stats_on_one_large_simplex(tmp_path, capsys):
+    """Delta is reached on a maximal simplex, so `stats` on one listed
+    13-vertex simplex scans one star union, not one per face (8191)."""
+    simplex = tmp_path / "simplex13.txt"
+    simplex.write_text("c 13\ns " + " ".join(map(str, range(13))) + "\n")
+    start = time.perf_counter()
+    assert main(["stats", str(simplex)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.endswith("degree,12\ndelta,8191\n")
+
+
 maximal_families = st.lists(
     st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
     min_size=1,

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -25,7 +26,15 @@ from topoverlap import (
     to1_bounds,
 )
 from topoverlap import invariants
-from topoverlap.invariants import _adjacency, _index_graph, _suffix_dp_numpy, _suffix_dp_python
+from topoverlap.invariants import (
+    _PURE_PYTHON_DP_MAX,
+    _adjacency,
+    _dp_order,
+    _index_graph,
+    _rebuild,
+    _suffix_dp_numpy,
+    _suffix_dp_python,
+)
 
 from conftest import (
     clique,
@@ -35,6 +44,7 @@ from conftest import (
     oracle_anneal,
     oracle_cheeger,
     oracle_cutwidth,
+    oracle_dp_order,
     oracle_separation,
     oracle_sweep,
     path,
@@ -145,6 +155,47 @@ def test_search_matches_dp_seeded():
         g = random_graph(rng, rng.randint(10, 20), rng.choice([0.1, 0.15, 0.2]))
         got, want = _search(g), cutwidth_exact(g)
         assert (got.width, got.order) == (want.width, want.order), sorted(g.edges)
+
+
+def _scattered_graph(rng, n):
+    """A graph on 0..n-1 whose vertices are dealt at random to a few
+    components, some of them single isolated vertices."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges, start = [], 0
+    while start < n:
+        size = min(n - start, rng.choice([1, 2, rng.randint(3, max(3, n))]))
+        block, start = labels[start : start + size], start + size
+        p = rng.choice([0.2, 0.4, 0.7])
+        edges += [[u, v] for u, v in itertools.combinations(block, 2) if rng.random() < p]
+    return build_complex(edges, extra_vertices=range(n))
+
+
+def test_rebuild_matches_the_dp_table_walk_seeded():
+    """The order rebuilt from the DP's tables by the shared rule agrees with
+    an independent walk of the same tables, past brute-force sizes and on
+    both sides of the switch to the numpy DP."""
+    rng = random.Random(33)
+    sizes = [rng.randint(10, 20) for _ in range(60)] + [rng.randint(2, _PURE_PYTHON_DP_MAX) for _ in range(20)]
+    for n in sizes:
+        g = _scattered_graph(rng, n)
+        adj = _adjacency(n, _index_graph(g)[1])
+        tables = _suffix_dp_python(n, adj) if n <= _PURE_PYTHON_DP_MAX else _suffix_dp_numpy(n, adj)
+        assert _dp_order(n, adj) == oracle_dp_order(n, *tables), sorted(g.edges)
+
+
+def test_rebuild_refuses_when_nothing_extends():
+    """If the engine says no prefix set extends, the rebuild raises rather
+    than return a partial order; isolated vertices are still placed free."""
+    asked = []
+
+    def refuse(s, v, c):
+        asked.append(v)
+        return False
+
+    with pytest.raises(RuntimeError, match="no vertex extends"):
+        _rebuild([[], [2], [1]], 1, refuse)
+    assert asked == [1, 2]
 
 
 def _theta(a, b, c):
