@@ -533,11 +533,13 @@ def _search_order(n, iedges, mult, width: int, budget: _StateBudget) -> list:
             comp_of[v] = i
     comp_bits = [sum(1 << v for v in comp) for comp in comps]
     deg, cnt, placed = search.deg, search.cnt, search.placed
-    # the unplaced free vertices, the components entered, the neighbour bits
+    # the free vertices not yet placed, the components entered and the
+    # placed vertices' neighbour bits
     free, entered, reach = set(), 0, 0
 
     def extends(s, v, c):
-        # the search stands on S closed under its free moves
+        # feasible wants S + v closed under free moves: the free vertices
+        # not yet placed, and all that placing them frees
         search.goal = entered | comp_bits[comp_of[v]]
         search.allowed = search.goal & search.choice_bits
         added, bits, more, change = search.extend(v, free)
